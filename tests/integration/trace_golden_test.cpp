@@ -108,6 +108,58 @@ TEST(TraceGolden, Tsp4ClusterOptimized) {
                 "TSP optimized");
 }
 
+// Centralized-sequencer pins: the single-cluster default and an
+// explicitly centralized multicluster ASP, clean and under a lossy plan
+// (only the faulted run exercises the duplicate-request regrant path).
+AppConfig cfg_single_cluster() {
+  AppConfig c;
+  c.procs_per_cluster = 8;
+  c.net_cfg = net::das_config(1, 8);
+  c.seed = 42;
+  return c;
+}
+
+AppConfig cfg_centralized_4x4(bool faulted) {
+  AppConfig c;
+  c.clusters = 4;
+  c.procs_per_cluster = 4;
+  c.net_cfg = net::das_config(4, 4);
+  c.seed = 42;
+  if (faulted) {
+    c.faults.enabled = true;
+    c.faults.wan.loss = 0.05;
+    c.faults.wan.latency_jitter = 0.25;
+  }
+  return c;
+}
+
+AspParams centralized_asp() {
+  AspParams p;
+  p.nodes = 256;
+  p.sequencer = orca::SequencerKind::Centralized;
+  return p;
+}
+
+TEST(TraceGolden, Asp1ClusterOriginal) {
+  expect_golden(run_asp(cfg_single_cluster(), AspParams{}),
+                Golden{3400039830235895280ull, 25656ull, 22677940928,
+                       15123787271214005960ull}, "ASP original 1x8");
+}
+
+TEST(TraceGolden, Asp4ClusterCentralized) {
+  expect_golden(run_asp(cfg_centralized_4x4(false), centralized_asp()),
+                Golden{2454100362237548094ull, 21472ull, 1027704640,
+                       6583342626564409123ull}, "ASP centralized 4x4");
+}
+
+TEST(TraceGolden, Asp4ClusterCentralizedFaulted) {
+  const AppResult r = run_asp(cfg_centralized_4x4(true), centralized_asp());
+  EXPECT_GT(r.stats.value("net/fault.dup.seq_requests"), 0.0)
+      << "plan never retried a get-sequence; the regrant path is not exercised";
+  expect_golden(r, Golden{236946785522886943ull, 21745ull, 1289453820,
+                       6583342626564409123ull}, "ASP centralized 4x4 faulted");
+}
+
 // Pure-engine golden: a synthetic schedule with same-time ties, nested
 // scheduling and run_until boundaries. Isolates engine/event-queue
 // regressions from the full-stack scenarios above.
