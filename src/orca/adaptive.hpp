@@ -10,9 +10,10 @@
 // progress, as a generic shared-object policy rather than a hand
 // annotation:
 //
-//   * sequencer migration — under --adapt the runtime starts a
-//     migrating sequencer with an effectively-infinite threshold (it
-//     behaves like the centralized default); when a cluster's mean
+//   * sequencer migration — under --adapt the runtime orders through
+//     the centralized sequencer at node 0 (a migrating sequencer whose
+//     threshold is never reached; on a multicluster that is not the
+//     non-adaptive default, which rotates); when a cluster's mean
 //     get-sequence stall per broadcast reaches WAN scale
 //     (`seq_wait_lat_factor` x the minimum intercluster latency), the
 //     controller arms demand-driven migration by routing a control
@@ -65,10 +66,6 @@ namespace alb::orca {
 class Runtime;
 
 namespace adapt {
-
-/// Migrate threshold of an un-armed adaptive sequencer: high enough
-/// that demand-driven migration never triggers before the arm message.
-inline constexpr int kUnarmedThreshold = 1 << 28;
 
 struct Config {
   bool enabled = false;

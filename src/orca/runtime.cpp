@@ -10,7 +10,6 @@ Runtime::Runtime(net::Network& net, Config cfg) : net_(&net) {
   SequencerKind kind = cfg.sequencer.value_or(net.topology().clusters() == 1
                                                   ? SequencerKind::Centralized
                                                   : SequencerKind::Rotating);
-  int migrate_threshold = cfg.migrate_threshold;
   if (cfg.adapt.enabled && net.topology().clusters() > 1) {
     if (cfg.sequencer.has_value()) {
       // Explicit choice wins over policy (reported as a typed warning
@@ -18,13 +17,12 @@ Runtime::Runtime(net::Network& net, Config cfg) : net_(&net) {
       cfg.adapt.allow_seq = false;
       cfg.adapt.seq_overridden = true;
     } else {
-      // Un-armed migrating sequencer: behaves like the centralized
-      // default until an epoch evaluator arms it (see orca/adaptive.hpp).
-      kind = SequencerKind::Migrating;
-      migrate_threshold = adapt::kUnarmedThreshold;
+      // Centralized until an epoch evaluator arms demand-driven
+      // migration (see orca/adaptive.hpp).
+      kind = SequencerKind::Centralized;
     }
   }
-  seq_ = make_sequencer(kind, net, /*seq_node=*/0, migrate_threshold);
+  seq_ = make_sequencer(kind, net, /*seq_node=*/0, cfg.migrate_threshold);
   coll_ = std::make_unique<coll::Engine>(net, cfg.coll);
   bcast_ = std::make_unique<BroadcastEngine>(
       net, *seq_, *coll_,

@@ -59,9 +59,11 @@ class Runtime {
     /// to the historical per-pair dissemination.
     coll::Config coll;
     /// Adaptive policy engine (off by default — a byte-identical
-    /// no-op). When enabled and no sequencer was chosen explicitly,
-    /// the runtime starts an un-armed migrating sequencer so the seq
-    /// policy has something to arm; an explicit `sequencer` wins and
+    /// no-op). When enabled on a multicluster and no sequencer was
+    /// chosen explicitly, the runtime orders through the centralized
+    /// sequencer at node 0 — not the rotating default, so an un-tripped
+    /// adaptive run does not replay the non-adaptive schedule — and the
+    /// seq policy arms its migration; an explicit `sequencer` wins and
     /// suppresses that policy (orca/adapt.override.seq).
     adapt::Config adapt;
   };

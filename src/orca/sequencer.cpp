@@ -30,13 +30,10 @@ struct SeqRequest {
   sim::Future<SeqWait> fut;
 };
 
-/// A grant on the wire. `grantor` tells the requester where the
-/// sequencer served from, which is how the migrating sequencer's
-/// per-cluster location hints learn about migrations.
+/// A grant on the wire.
 struct SeqGrant {
   sim::Future<SeqWait> fut;
   std::uint64_t seq;
-  net::NodeId grantor;
 };
 
 /// Routed migrate hint: "move the sequencer to `target`".
@@ -72,8 +69,8 @@ class SequencerBase : public Sequencer {
   bool recovery_on() const { return recovery_on_; }
 
   /// Handoff-owned: only the context currently holding the issuing
-  /// right (token holder / active location / fixed sequencer node)
-  /// touches the counter, and that right only moves by message.
+  /// right (token holder / active location) touches the counter, and
+  /// that right only moves by message.
   std::uint64_t take_seq() { return counter_++; }
 
   /// Request ids are minted in the caller's cluster context; the cluster
@@ -133,7 +130,7 @@ class SequencerBase : public Sequencer {
       return;
     }
     send_control(grantor, req.requester, kTagSeqReply,
-                 net::make_payload<SeqGrant>(SeqGrant{req.fut, seq, grantor}), kControlBytes,
+                 net::make_payload<SeqGrant>(SeqGrant{req.fut, seq}), kControlBytes,
                  /*droppable=*/recovery_on_);
   }
 
@@ -196,27 +193,21 @@ class SequencerBase : public Sequencer {
     return static_cast<sim::SimTime>(static_cast<double>(timeout) * rp.backoff);
   }
 
-  /// Installs the universal grant-delivery handler on every node.
+  /// Installs the universal grant-delivery handler on every node; it
+  /// runs in the requester's context.
   void install_reply_handlers() {
     for (int n = 0; n < topo().num_nodes(); ++n) {
-      net_->endpoint(n).set_handler(kTagSeqReply, [this, n](net::Message m) {
+      net_->endpoint(n).set_handler(kTagSeqReply, [this](net::Message m) {
         auto g = net::payload_as<SeqGrant>(m);
-        on_grant_arrival(static_cast<net::NodeId>(n), g);
+        if (g.fut.ready()) {
+          // A late grant racing a regrant for the same retried request:
+          // the caller already resumed (or timed out and re-resolved).
+          if (faults_ != nullptr) faults_->note_dup_seq_grant();
+          return;
+        }
+        g.fut.set_value(SeqWait{g.seq, false});
       });
     }
-  }
-
-  /// Runs in the requester's context. Overridden by the migrating
-  /// sequencer to learn the grantor's location.
-  virtual void on_grant_arrival(net::NodeId at, SeqGrant& g) {
-    (void)at;
-    if (g.fut.ready()) {
-      // A late grant racing a regrant for the same retried request:
-      // the caller already resumed (or timed out and re-resolved).
-      if (faults_ != nullptr) faults_->note_dup_seq_grant();
-      return;
-    }
-    g.fut.set_value(SeqWait{g.seq, false});
   }
 
  private:
@@ -225,51 +216,6 @@ class SequencerBase : public Sequencer {
   bool recovery_on_;
   std::uint64_t counter_ = 0;                   // handoff-owned (see take_seq)
   std::vector<std::uint64_t> req_id_shards_;    // per caller cluster
-};
-
-// --------------------------------------------------------------------
-// Centralized: one sequencer machine for the whole system. Counter and
-// grant cache are only ever touched in the sequencer node's cluster
-// context (requests are messages to seq_node_), so they stay plain.
-// --------------------------------------------------------------------
-class CentralizedSequencer final : public SequencerBase {
- public:
-  CentralizedSequencer(net::Network& net, net::NodeId seq_node)
-      : SequencerBase(net), seq_node_(seq_node) {
-    install_reply_handlers();
-    this->net().endpoint(seq_node_).set_handler(kTagSeqRequest, [this](net::Message m) {
-      auto req = net::payload_as<SeqRequest>(m);
-      if (regrant_if_served(seq_node_, req, granted_)) return;
-      grant(seq_node_, req, take_seq(), granted_);
-    });
-  }
-
-  sim::Task<std::uint64_t> get_sequence(net::NodeId node) override {
-    const net::ClusterId cluster = topo().cluster_of(node);
-    if (node == seq_node_) {
-      guard_failed(cluster);
-      co_return take_seq();
-    }
-    if (!recovery_on()) {
-      sim::Future<SeqWait> fut(eng());
-      send_control(node, seq_node_, kTagSeqRequest,
-                   net::make_payload<SeqRequest>(SeqRequest{node, 0, fut}));
-      co_return (co_await fut).seq;
-    }
-    guard_failed(cluster);
-    const std::uint64_t rid = next_req_id(cluster);
-    sim::SimTime timeout = faults()->plan().recovery.seq_timeout;
-    for (int attempt = 1;; ++attempt) {
-      sim::Future<SeqWait> fut = send_attempt(node, rid, seq_node_, timeout);
-      const SeqWait w = co_await fut;
-      if (!w.timed_out) co_return w.seq;
-      timeout = after_timeout(node, rid, attempt, timeout);
-    }
-  }
-
- private:
-  net::NodeId seq_node_;
-  GrantCache granted_;  // confined to seq_node_'s cluster context
 };
 
 // --------------------------------------------------------------------
@@ -494,14 +440,17 @@ class RotatingSequencer final : public SequencerBase {
 // Migrating: a centralized sequencer whose location follows demand.
 // After `threshold` consecutive remote requests from one cluster (or an
 // explicit application hint), the counter migrates to the requesting
-// node, making subsequent get-sequence calls local.
+// node, making subsequent get-sequence calls local. With an unreachable
+// threshold and no hints it never moves: that is the centralized
+// sequencer (see make_sequencer).
 //
 // Nobody reads a global location. Each cluster keeps a location *hint*
-// (updated from the grantor field of arriving grants); requests go to
-// the hinted node and chase per-node forwarding pointers left behind at
-// every ex-active node. A request can even outrun the migrate message
-// to the new location (jitter reordering) — it parks in the new
-// location's early queue and is served when the migrate arrives.
+// (set when a migrate lands in the cluster and on a local get-sequence
+// at the active node); requests go to the hinted node and chase
+// per-node forwarding pointers left behind at every ex-active node. A
+// request can even outrun the migrate message to the new location
+// (jitter reordering) — it parks in the new location's early queue and
+// is served when the migrate arrives.
 // Counter, grant cache and the consecutive-requester tally are
 // handoff-owned: they conceptually travel inside the kTagSeqMigrate
 // message, and only the active location's context touches them.
@@ -552,9 +501,9 @@ class MigratingSequencer final : public SequencerBase {
     sim::SimTime timeout = faults()->plan().recovery.seq_timeout;
     for (int attempt = 1;; ++attempt) {
       // The hint is re-read every attempt: if the sequencer migrated
-      // while the previous attempt was lost, and any grant has since
-      // landed in this cluster, the retry goes straight to the new home
-      // instead of bouncing off a forwarder.
+      // into this cluster while the previous attempt was lost, the retry
+      // goes straight to the new home instead of bouncing off a
+      // forwarder.
       sim::Future<SeqWait> fut =
           send_attempt(node, rid, loc_hint_[static_cast<std::size_t>(cluster)], timeout);
       const SeqWait w = co_await fut;
@@ -728,7 +677,7 @@ std::unique_ptr<Sequencer> make_sequencer(SequencerKind kind, net::Network& net,
                                           net::NodeId seq_node, int migrate_threshold) {
   switch (kind) {
     case SequencerKind::Centralized:
-      return std::make_unique<CentralizedSequencer>(net, seq_node);
+      return std::make_unique<MigratingSequencer>(net, seq_node, kCentralizedThreshold);
     case SequencerKind::Rotating:
       return std::make_unique<RotatingSequencer>(net);
     case SequencerKind::Migrating:

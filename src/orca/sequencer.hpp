@@ -2,16 +2,17 @@
 // Global sequence-number services for totally-ordered broadcast.
 //
 // The Orca system orders all replicated-object writes through a single
-// global sequence. The paper discusses three implementations:
+// global sequence. The paper discusses three policies:
 //
-//  * CentralizedSequencer — one sequencer machine; cheap on a single
-//    cluster, a WAN roundtrip per broadcast for every remote cluster.
-//  * RotatingSequencer — "a distributed sequencer (one per cluster),
+//  * Centralized — one sequencer machine; cheap on a single cluster, a
+//    WAN roundtrip per broadcast for every remote cluster. Built as a
+//    migrating sequencer whose threshold is never reached.
+//  * Rotating — "a distributed sequencer (one per cluster),
 //    allowing each cluster to broadcast in turn" (§2): a token carrying
 //    the next sequence number moves between per-cluster sequencers on
 //    demand. Better than centralized on a WAN, but a sender whose
 //    cluster does not hold the token still stalls for WAN hops.
-//  * MigratingSequencer — the ASP optimization (§4.3): a centralized
+//  * Migrating — the ASP optimization (§4.3): a centralized
 //    sequencer that migrates to the cluster currently producing
 //    broadcasts, making the common get-sequence local and allowing the
 //    sender to pipeline computation with WAN delivery.
@@ -46,6 +47,11 @@ namespace alb::orca {
 
 enum class SequencerKind { Centralized, Rotating, Migrating };
 
+/// Migrate threshold of a Centralized-kind sequencer: high enough that
+/// demand never reaches it, so the sequencer stays at `seq_node` unless
+/// an adapt_arm lowers the threshold or a hint_migrate moves it.
+inline constexpr int kCentralizedThreshold = 1 << 28;
+
 class Sequencer {
  public:
   virtual ~Sequencer() = default;
@@ -54,15 +60,15 @@ class Sequencer {
   virtual sim::Task<std::uint64_t> get_sequence(net::NodeId node) = 0;
 
   /// Application hint: broadcasts will come from `node` for a while
-  /// (no-op except for the migrating sequencer, which routes the hint
-  /// as a control message to the active sequencer location).
+  /// (no-op for the rotating sequencer; the others route the hint as a
+  /// control message to the active sequencer location, which moves).
   virtual void hint_migrate(net::NodeId node) { (void)node; }
 
-  /// Adaptive-policy hook: lower the migrating sequencer's demand
-  /// threshold to `threshold`, routed from `from` to the active
-  /// location as a control message (kTagSeqArm). No-op for the fixed
-  /// sequencers — the adaptive runtime only pairs this with an
-  /// un-armed migrating sequencer (see orca/adaptive.hpp).
+  /// Adaptive-policy hook: lower the sequencer's migrate threshold to
+  /// `threshold`, routed from `from` to the active location as a
+  /// control message (kTagSeqArm). No-op for the rotating sequencer —
+  /// the adaptive runtime pairs this with the centralized one, which
+  /// then migrates on demand (see orca/adaptive.hpp).
   virtual void adapt_arm(net::NodeId from, int threshold) {
     (void)from;
     (void)threshold;
@@ -86,7 +92,8 @@ class Sequencer {
 
 /// Factory. `seq_node` is the initial sequencer location (centralized /
 /// migrating); `migrate_threshold` is the number of consecutive
-/// same-cluster remote requests that trigger a migration.
+/// same-cluster remote requests that trigger a migration (migrating
+/// only; centralized uses kCentralizedThreshold).
 std::unique_ptr<Sequencer> make_sequencer(SequencerKind kind, net::Network& net,
                                           net::NodeId seq_node, int migrate_threshold = 2);
 

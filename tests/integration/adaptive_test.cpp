@@ -91,6 +91,38 @@ TEST(AdaptiveDeterminism, AdaptOffPublishesNothingAndRunsClassicPaths) {
       << "adapt off must not run the engine (trace goldens pin byte-identity)";
 }
 
+TEST(AdaptiveDeterminism, UntrippedAdaptOrdersThroughCentralizedSequencer) {
+  // Too few broadcasts to arm migration: the run must order every
+  // broadcast through the centralized sequencer at node 0 — no token
+  // hops, unlike the rotating multicluster default it replaces.
+  AspParams prm;
+  prm.nodes = 12;
+  AppConfig cfg = base_cfg();
+  cfg.trace.enabled = true;
+  cfg.trace.capacity = 1 << 20;
+  AppConfig plain = cfg;
+  plain.adapt = false;
+  const auto count_tokens = [](const AppResult& r) {
+    int tokens = 0;
+    for (const trace::TraceEvent& e : r.trace->events) {
+      if (std::string(e.name) == "orca.seq.token") ++tokens;
+    }
+    return tokens;
+  };
+
+  const AppResult r = run_asp(cfg, prm);
+  ASSERT_EQ(r.stats.value("orca/adapt.seq.arms"), 0.0) << "workload must not trip the policy";
+  EXPECT_EQ(count_tokens(r), 0);
+  int remote_issues = 0;
+  for (const trace::TraceEvent& e : r.trace->events) {
+    if (std::string(e.name) != "orca.seq.issue") continue;
+    EXPECT_EQ(e.actor, 0) << "sequence number issued away from node 0";
+    if (e.arg >= static_cast<std::uint64_t>(cfg.procs_per_cluster)) ++remote_issues;
+  }
+  EXPECT_GT(remote_issues, 0) << "no grant went to a requester outside cluster 0";
+  EXPECT_GT(count_tokens(run_asp(plain, prm)), 0) << "non-adaptive default should rotate";
+}
+
 TEST(AdaptivePolicies, AspArmsSequencerMigrationAndApproachesHandOptimized) {
   AspParams prm;
   prm.nodes = 256;

@@ -141,6 +141,46 @@ TEST(Messaging, SendRecvRoundtrip) {
   EXPECT_EQ(got, (std::vector<int>{42}));
 }
 
+// Split-phase exchange (§4.8): a send returns immediately so the sender
+// overlaps computation with WAN transit; the receive blocks.
+TEST(SplitPhase, PostReturnsImmediatelyReceiveBlocks) {
+  Fixture f(net::das_config(2, 2));
+  sim::SimTime posted_at = -1;
+  sim::SimTime received_at = -1;
+  f.rt.spawn_all([&](Proc& p) -> sim::Task<void> {
+    if (p.rank == 0) {
+      f.rt.send_data(p, 2, /*tag=*/5, 4096);  // crosses the WAN
+      posted_at = p.now();
+      co_await p.compute(sim::milliseconds(1));
+    } else if (p.rank == 2) {
+      (void)co_await f.rt.recv_data(p, 5);
+      received_at = p.now();
+    }
+  });
+  f.rt.run_all();
+  EXPECT_EQ(posted_at, 0);                          // fire-and-forget
+  EXPECT_GT(received_at, sim::milliseconds(1));     // WAN transit
+}
+
+TEST(SplitPhase, TryReceiveProbesWithoutBlocking) {
+  Fixture f(net::das_config(1, 2));
+  int probes_empty = 0;
+  bool got = false;
+  f.rt.spawn_all([&](Proc& p) -> sim::Task<void> {
+    if (p.rank == 0) {
+      co_await p.compute(sim::microseconds(100));
+      f.rt.send_data(p, 1, 9, 64);
+    } else {
+      if (!f.rt.try_recv_data(p, 9)) ++probes_empty;
+      co_await p.compute(sim::milliseconds(1));
+      if (f.rt.try_recv_data(p, 9)) got = true;
+    }
+  });
+  f.rt.run_all();
+  EXPECT_EQ(probes_empty, 1);
+  EXPECT_TRUE(got);
+}
+
 TEST(Barrier, SynchronizesAllProcesses) {
   Fixture f(net::das_config(2, 4));
   std::vector<sim::SimTime> after(8, -1);

@@ -1,9 +1,10 @@
-// util layer tests: table rendering, option parsing, statistics.
+// util layer tests: table rendering, option parsing, statistics, logging.
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "util/log.hpp"
 #include "util/options.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -320,6 +321,20 @@ TEST(Stats, AccumulatorEmpty) {
   EXPECT_DOUBLE_EQ(acc.mean(), 0.0);
   EXPECT_DOUBLE_EQ(acc.stdev(), 0.0);
   EXPECT_DOUBLE_EQ(acc.sum(), 0.0);
+}
+
+TEST(Log, CaptureRespectsLevelAndTimestamp) {
+  std::string captured;
+  set_log_capture(&captured);
+  set_log_level(LogLevel::Info);
+  ALB_LOG(Debug) << "hidden";
+  ALB_LOG(Info) << "visible " << 42;
+  ALB_LOG_AT(LogLevel::Warn, 1500) << "stamped";
+  set_log_capture(nullptr);
+  set_log_level(LogLevel::Warn);
+  EXPECT_EQ(captured.find("hidden"), std::string::npos);
+  EXPECT_NE(captured.find("visible 42"), std::string::npos);
+  EXPECT_NE(captured.find("t=1500ns"), std::string::npos);
 }
 
 }  // namespace

@@ -48,12 +48,34 @@ echo "=== TSan: partitioned-engine tests (epoch barrier + mailboxes) ==="
 ./build-tsan/tests/test_partition
 
 echo "=== campaign determinism smoke: --jobs 4 CSV must equal --jobs 1 ==="
-for fig in bench_fig_water bench_fig15; do
-  ./build-release/bench/"$fig" --quick --csv --jobs 1 > "build-release/$fig.j1.csv"
-  ./build-release/bench/"$fig" --quick --csv --jobs 4 > "build-release/$fig.j4.csv"
-  diff "build-release/$fig.j1.csv" "build-release/$fig.j4.csv" \
+for fig in "bench_fig --app water" bench_fig15; do
+  out="build-release/${fig##* }"
+  ./build-release/bench/$fig --quick --csv --jobs 1 > "$out.j1.csv"
+  ./build-release/bench/$fig --quick --csv --jobs 4 > "$out.j4.csv"
+  diff "$out.j1.csv" "$out.j4.csv" \
     || { echo "$fig: parallel CSV differs from sequential"; exit 1; }
 done
+
+echo "=== fixed points: figures + ablation must match results/ ==="
+# The checked-in renditions are goldens: a change that moves a speedup
+# curve or an ablation row must regenerate them in the same commit.
+# ASCII rendering is forced so the gate does not depend on matplotlib.
+rm -rf build-release/figures && mkdir -p build-release/figures
+python3 - <<'EOF'
+import subprocess, sys
+sys.path.insert(0, "tools")
+import plot_figures as pf
+for name in pf.FIGS:
+    text = subprocess.run(["build-release/bench/bench_fig", "--app", name, "--csv"],
+                          capture_output=True, text=True, check=True).stdout
+    title, rows = pf.parse(text)
+    pf.ascii_plot(title, rows, f"build-release/figures/fig_{name}.txt")
+EOF
+diff -r results/figures build-release/figures \
+  || { echo "figure renditions differ from results/figures"; exit 1; }
+./build-release/bench/bench_ablation > build-release/ablation.txt
+diff results/ablation.txt build-release/ablation.txt \
+  || { echo "bench_ablation output differs from results/ablation.txt"; exit 1; }
 
 echo "=== bench smoke ==="
 ./build-release/bench/bench_engine --smoke --json build-release/BENCH_engine.smoke.json

@@ -2,8 +2,8 @@
 """Render the speedup figures from the bench binaries' --csv output.
 
 Usage:
-    build/bench/bench_fig_water --csv | tools/plot_figures.py water.png
-    tools/plot_figures.py --all build/bench out/    # every figure bench
+    build/bench/bench_fig --app water --csv | tools/plot_figures.py water.png
+    tools/plot_figures.py --all build/bench out/    # every figure
 
 Produces matplotlib charts shaped like the paper's Figures 1-14 (speedup
 vs CPUs, one line per cluster count, original and optimized side by
@@ -111,12 +111,11 @@ def main():
         bench_dir = Path(args[1]) if len(args) > 1 else Path("build/bench")
         out_dir = Path(args[2]) if len(args) > 2 else Path("figures")
         out_dir.mkdir(parents=True, exist_ok=True)
+        exe = bench_dir / "bench_fig"
+        if not exe.exists():
+            sys.exit(f"{exe} not built")
         for name in FIGS:
-            exe = bench_dir / f"bench_fig_{name}"
-            if not exe.exists():
-                print(f"skipping {exe} (not built)")
-                continue
-            text = subprocess.run([str(exe), "--csv"], capture_output=True,
+            text = subprocess.run([str(exe), "--app", name, "--csv"], capture_output=True,
                                   text=True, check=True).stdout
             render(text, str(out_dir / f"fig_{name}.png"))
         return
