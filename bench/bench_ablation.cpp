@@ -5,7 +5,7 @@
 //   water    — cluster cache alone, write-back reduction alone, both
 //   asp      — centralized vs rotating vs migrating sequencer
 //   ida      — cluster-first order alone, remember-empty alone, both
-//   ra       — node-batch x cluster-batch grid
+//   ra       — node-batch x gateway-combine-bytes grid
 //   sor      — original vs split-phase vs chaotic (period 2/3/6)
 //   tsp      — job grain (prefix depth) x queue placement
 //
@@ -150,20 +150,21 @@ void ra_study(bool csv, int njobs) {
   std::vector<campaign::SimJob> jobs;
   jobs.push_back(param_job(run_ra, prm, make_config(1, 1, false)));
   for (int nb : {1, 4, 16}) {
-    for (int cb : {0, 64, 256, 1024}) {
+    for (int cb : {0, 512, 2048, 8192}) {
       RaParams p = prm;
       p.node_batch = nb;
-      p.cluster_batch = cb == 0 ? 1 : cb;
-      jobs.push_back(param_job(run_ra, p, make_config(4, 15, cb != 0)));
+      AppConfig cfg = make_config(4, 15, false);
+      cfg.combine_bytes = cb;
+      jobs.push_back(param_job(run_ra, p, std::move(cfg)));
     }
   }
   std::vector<AppResult> results = campaign::run_sim_jobs(jobs, {njobs});
 
   sim::SimTime t1 = results[0].elapsed;
-  util::Table t({"node batch", "cluster batch", "speedup 60/4", "inter data msgs"});
+  util::Table t({"node batch", "gateway combine bytes", "speedup 60/4", "inter data msgs"});
   std::size_t i = 1;
   for (int nb : {1, 4, 16}) {
-    for (int cb : {0, 64, 256, 1024}) {
+    for (int cb : {0, 512, 2048, 8192}) {
       const AppResult& r = results[i++];
       t.row()
           .add(nb)

@@ -13,7 +13,7 @@
 // verdicts the contract: every auto checksum equals its orig checksum
 // (adaptivity never changes the computed answer), and on the paper's
 // flagship adaptivity targets — ASP (sequencer migration), TSP (queue
-// split), RA (relay combining) — auto is strictly faster than orig and
+// split), RA (gateway combining) — auto is strictly faster than orig and
 // within 25% of hand-optimized.
 //
 // Everything printed is simulated and deterministic: any --jobs value
@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
       complaints.push_back(apps[i].name + ": auto checksum diverged from orig");
     }
     // The perf floors are statements about the full 4x16 experiment
-    // geometry; at the --quick smoke scale some patterns (RA's relay
+    // geometry; at the --quick smoke scale some patterns (RA's gateway
     // combining in particular) have too little WAN traffic to pay off,
     // so quick runs enforce only checksum equality and the
     // --jobs-independence of this table.

@@ -51,15 +51,15 @@ struct AppConfig {
   net::FaultPlan faults;
   /// Wide-area collective routing (--coll). Flat is byte-identical to
   /// the historical dissemination; Tree also arms gateway message
-  /// combining at orca::coll::kTreeDefaultCombineBytes unless the
+  /// combining at orca::coll::kDefaultCombineBytes unless the
   /// config chose its own threshold.
   orca::coll::Mode coll = orca::coll::Mode::Flat;
   /// Parallel WAN sub-streams per circuit (--wan-streams); forwarded to
   /// net_cfg.wan_transport.streams when != 1.
   int wan_streams = 1;
   /// Gateway combine threshold in bytes (--combine-bytes); < 0 leaves
-  /// the policy default (0 for Flat, kTreeDefaultCombineBytes for
-  /// Tree), 0 disables combining explicitly.
+  /// the policy default (0 for Flat, kDefaultCombineBytes for Tree and
+  /// for RA's optimized variant), 0 disables combining explicitly.
   std::int64_t combine_bytes = -1;
   /// Adaptive policy engine (--adapt): the runtime detects the paper's
   /// §4 WAN-bound patterns at epoch boundaries and applies the matching
@@ -100,8 +100,7 @@ struct AppResult {
   /// App-specific scalar metrics (iterations, nodes expanded, ...).
   std::map<std::string, double> metrics;
   /// Full per-layer metrics registry dump (sim/net/orca scopes — the
-  /// Table 4/5 LAN-vs-WAN breakdown lives here under `net/`). Campaigns
-  /// aggregate these across runs via campaign::aggregate_metrics.
+  /// Table 4/5 LAN-vs-WAN breakdown lives here under `net/`).
   trace::MetricsSnapshot stats;
   /// Flight-recorder events, present only when cfg.trace.enabled; shared
   /// so copying an AppResult stays cheap.
@@ -192,7 +191,7 @@ struct Harness {
     if (cfg.combine_bytes >= 0) {
       t.wan_transport.combine_bytes = static_cast<std::size_t>(cfg.combine_bytes);
     } else if (cfg.coll == orca::coll::Mode::Tree && t.wan_transport.combine_bytes == 0) {
-      t.wan_transport.combine_bytes = orca::coll::kTreeDefaultCombineBytes;
+      t.wan_transport.combine_bytes = orca::coll::kDefaultCombineBytes;
     }
     return t;
   }

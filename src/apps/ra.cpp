@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/message_combiner.hpp"
 #include "core/cluster_reduce.hpp"
 
 namespace alb::apps {
@@ -17,6 +16,11 @@ using Board = std::array<std::int8_t, kPits>;
 
 enum Value : std::int8_t { kUnknown = 0, kWin = 1, kLoss = 2 };
 // kUnknown at fixpoint == draw.
+
+// Update messages: one update, or a per-destination-node batch.
+constexpr int kTagUpdate = 9000;
+constexpr int kTagUpdateBatch = 9003;
+constexpr std::size_t kUpdateBytes = 8;
 
 /// ways(s, p): distributions of s stones over p pits = C(s+p-1, p-1).
 struct Combinatorics {
@@ -221,7 +225,15 @@ std::uint64_t ra_checksum(const RaOutcome& o) {
   return h;
 }
 
-AppResult run_ra(const AppConfig& cfg, const RaParams& params) {
+AppResult run_ra(const AppConfig& app_cfg, const RaParams& params) {
+  // The optimized program is the original one with per-cluster message
+  // combining (§4.5) at the gateways, unless the config already chose a
+  // threshold. Set on the network config, not cfg.combine_bytes, so the
+  // adaptive engine does not count it as an explicit --combine-bytes.
+  AppConfig cfg = app_cfg;
+  if (cfg.optimized && cfg.combine_bytes < 0 && cfg.net_cfg.wan_transport.combine_bytes == 0) {
+    cfg.net_cfg.wan_transport.combine_bytes = orca::coll::kDefaultCombineBytes;
+  }
   Harness h(cfg);
   const int P = cfg.total_procs();
   const int k = params.stones;
@@ -259,25 +271,48 @@ AppResult run_ra(const AppConfig& cfg, const RaParams& params) {
   };
   std::vector<std::deque<Update>> inbox(static_cast<std::size_t>(P));
   std::vector<long long> processed(static_cast<std::size_t>(P), 0);
-
-  wide::ClusterCombiner<Update>::Options copt;
-  copt.item_bytes = 8;
-  copt.enabled = cfg.optimized;
-  copt.flush_items = static_cast<std::size_t>(params.cluster_batch);
+  // Updates each rank has sent (itself included), for quiescence.
+  std::vector<long long> sent(static_cast<std::size_t>(P), 0);
+  for (int r = 0; r < P; ++r) {
+    auto& q = inbox[static_cast<std::size_t>(r)];
+    h.net.endpoint(r).set_handler(kTagUpdate, [&q](net::Message m) {
+      q.push_back(net::payload_as<Update>(m));
+    });
+    h.net.endpoint(r).set_handler(kTagUpdateBatch, [&q](net::Message m) {
+      for (const Update& u : net::payload_as<std::vector<Update>>(m)) q.push_back(u);
+    });
+  }
   // Both variants batch per destination node — the paper's baseline RA
-  // already performed this classic message combining.
-  copt.sender_batch_items = static_cast<std::size_t>(params.node_batch);
-  wide::ClusterCombiner<Update> comb_net(
-      h.rt, copt, [&](int dst, Update&& u) {
-        inbox[static_cast<std::size_t>(dst)].push_back(u);
-      });
+  // already performed this classic message combining. outbox[src * P +
+  // dst] is src's pending batch for dst, touched only by src.
+  const auto node_batch = static_cast<std::size_t>(params.node_batch);
+  std::vector<std::vector<Update>> outbox(node_batch > 1 ? static_cast<std::size_t>(P) * P : 0);
 
   AppResult result = h.finish([&, params](orca::Proc& p) -> sim::Task<void> {
+    auto ship = [&](int dst) {
+      auto& buf = outbox[static_cast<std::size_t>(p.rank) * P + static_cast<std::size_t>(dst)];
+      if (buf.empty()) return;
+      std::vector<Update> batch;
+      batch.swap(buf);
+      const auto members = static_cast<std::uint32_t>(batch.size());
+      h.rt.send_data(p, dst, kTagUpdateBatch, members * kUpdateBytes,
+                     net::make_payload<std::vector<Update>>(std::move(batch)), members);
+    };
+    auto send = [&](int dst, Update u) {
+      ++sent[static_cast<std::size_t>(p.rank)];
+      if (dst == p.rank) {
+        inbox[static_cast<std::size_t>(dst)].push_back(u);
+      } else if (node_batch <= 1) {
+        h.rt.send_data(p, dst, kTagUpdate, kUpdateBytes, net::make_payload<Update>(u));
+      } else {
+        auto& buf = outbox[static_cast<std::size_t>(p.rank) * P + static_cast<std::size_t>(dst)];
+        buf.push_back(u);
+        if (buf.size() >= node_batch) ship(dst);
+      }
+    };
     // Emit the determination of `idx` to its predecessors' owners.
     auto emit = [&](std::uint32_t idx) {
-      for (std::uint32_t q : preds[idx]) {
-        comb_net.send(p, owner_of(q), Update{q, value[idx]});
-      }
+      for (std::uint32_t q : preds[idx]) send(owner_of(q), Update{q, value[idx]});
     };
     // Applies one update; returns any newly determined position.
     auto apply = [&](const Update& u) -> bool {
@@ -363,7 +398,9 @@ AppResult run_ra(const AppConfig& cfg, const RaParams& params) {
         }
         co_await p.compute(static_cast<long long>(batch) * params.ns_per_update);
       }
-      comb_net.flush(p);
+      if (node_batch > 1) {
+        for (int d = 0; d < P; ++d) ship(d);
+      }
       co_await h.rt.barrier(p);
       struct Counts {
         long long sent;
@@ -371,7 +408,7 @@ AppResult run_ra(const AppConfig& cfg, const RaParams& params) {
       };
       Counts c = co_await wide::cluster_allreduce<Counts>(
           h.rt, p, 800,
-          Counts{static_cast<long long>(comb_net.sent_by(p.rank)),
+          Counts{sent[static_cast<std::size_t>(p.rank)],
                  processed[static_cast<std::size_t>(p.rank)]},
           16, [](Counts&& a, const Counts& b) {
             return Counts{a.sent + b.sent, a.done + b.done};
@@ -386,7 +423,6 @@ AppResult run_ra(const AppConfig& cfg, const RaParams& params) {
   result.metrics["wins"] = static_cast<double>(out.wins);
   result.metrics["losses"] = static_cast<double>(out.losses);
   result.metrics["draws"] = static_cast<double>(out.draws);
-  result.metrics["combined_msgs"] = static_cast<double>(comb_net.combined_messages());
   return result;
 }
 

@@ -21,8 +21,11 @@
 //
 // Original: updates are batched per *destination node* (the message
 // combining the paper's baseline RA already performed).
-// Optimized: updates are additionally combined per *cluster* through a
-// relay (§4.5's cluster-level message combining).
+// Optimized: the same program, with intercluster messages additionally
+// combined per *cluster* at the gateways (§4.5's cluster-level message
+// combining) — gateway combining at orca::coll::kDefaultCombineBytes
+// unless the config already set a threshold (--combine-bytes or
+// wan_transport.combine_bytes).
 
 #include "apps/app.hpp"
 
@@ -32,8 +35,6 @@ struct RaParams {
   int stones = 8;
   /// Per-destination-node batch size of the baseline program.
   int node_batch = 4;
-  /// Relay flush threshold (items) of the optimized program.
-  int cluster_batch = 256;
   /// Simulated cost of generating one position's moves.
   sim::SimTime ns_per_position = 20000;
   /// Simulated cost of processing one update message.

@@ -56,9 +56,9 @@ struct Message {
   /// flaps and brown-outs may discard. Everything else is stream
   /// traffic: delayed at worst, never dropped. See src/net/fault.hpp.
   bool droppable = false;
-  /// Logical messages carried: > 1 when an application-level combiner
-  /// (e.g. wide::ClusterCombiner) packed several items into this one
-  /// shipment. Feeds the WAN logical-traffic accounting so Table-4/5
+  /// Logical messages carried: > 1 when the application packed several
+  /// items into this one shipment (e.g. RA's per-destination-node
+  /// batches). Feeds the WAN logical-traffic accounting so Table-4/5
   /// outputs can report payload counts alongside wire counts.
   std::uint32_t combined_members = 1;
   std::shared_ptr<const void> payload;

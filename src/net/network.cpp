@@ -69,8 +69,10 @@ Network::Network(sim::Engine& eng, const TopologyConfig& cfg, const FaultPlan& f
   }
 
   // Transport-level WAN features: both default off, and when off they
-  // allocate nothing and add one predictable branch per hop — the
-  // default network stays byte-identical to the pre-feature one.
+  // add one predictable branch per hop — the default network stays
+  // byte-identical to the pre-feature one. Combining keeps one empty
+  // shard per source cluster so arm_combining() can switch a gateway
+  // on mid-run; its buffers are allocated only when armed.
   const WanTransportConfig& wt = cfg.wan_transport;
   if (wt.streams > 1) {
     wan_stream_links_.resize(static_cast<std::size_t>(clusters) * clusters * wt.streams);
@@ -84,12 +86,18 @@ Network::Network(sim::Engine& eng, const TopologyConfig& cfg, const FaultPlan& f
       }
     }
   }
+  combine_shards_.resize(static_cast<std::size_t>(clusters));
   if (wt.combine_bytes > 0) {
-    combine_shards_.resize(static_cast<std::size_t>(clusters));
-    for (CombineShard& shard : combine_shards_) {
-      shard.buffers.resize(static_cast<std::size_t>(clusters) * TrafficStats::kNumKinds * 2);
-    }
+    for (ClusterId c = 0; c < clusters; ++c) arm_combining(c, wt.combine_bytes);
   }
+}
+
+void Network::arm_combining(ClusterId from, std::size_t bytes) {
+  assert(bytes > 0);
+  CombineShard& shard = combine_shards_[static_cast<std::size_t>(from)];
+  if (shard.flush_bytes > 0) return;
+  shard.flush_bytes = bytes;
+  shard.buffers.resize(static_cast<std::size_t>(topo_.clusters()) * TrafficStats::kNumKinds * 2);
 }
 
 void Network::drop(const Message& m, LinkClass cls, FaultInjector::DropCause cause,
@@ -147,7 +155,7 @@ void Network::schedule_hop_after(sim::SimTime delay, HopPlan plan) {
 void Network::run_hop(HopPlan plan) {
   switch (plan.stage) {
     case HopStage::kGatewayIngress: {
-      const bool combine = combinable(plan);
+      const bool combine = combining_on(plan.from);
       if (combine) {
         // Wire accounting is deferred to the flush (or the bypass) —
         // only the logical crossing is known here.
@@ -206,7 +214,7 @@ void Network::run_hop(HopPlan plan) {
       const ClusterId to = plan.to;
       buf.bytes += plan.msg.bytes;
       buf.members.push_back(std::move(plan));
-      if (buf.bytes >= wt.combine_bytes) {
+      if (buf.bytes >= shard.flush_bytes) {
         flush_combine(from, idx);
         break;
       }

@@ -65,6 +65,13 @@ class Network {
   /// (through the event queue, no link charge).
   std::uint64_t send(Message m);
 
+  /// Arms gateway message combining for traffic leaving cluster
+  /// `from`, flushing a buffer at `bytes`. Must run in `from`'s engine
+  /// context (or at setup). A one-way ratchet: the first arm wins, so
+  /// a gateway that already combines (wan_transport.combine_bytes, or
+  /// an earlier arm) keeps its threshold.
+  void arm_combining(ClusterId from, std::size_t bytes);
+
   /// Cluster-local hardware broadcast from `src` to every other compute
   /// node in src's cluster. `m.dst` is ignored.
   std::uint64_t lan_broadcast(NodeId src, Message m);
@@ -153,18 +160,17 @@ class Network {
   /// copies to this cluster's children in the tree (no-op for leaves).
   void relay_tree_children(const HopPlan& plan);
 
-  // --- gateway message combining (wan_transport.combine_bytes > 0) ---
-  bool combining_on() const { return !combine_shards_.empty(); }
-  /// A message eligible for the combine buffer: every kind, including
-  /// blocking request/reply traffic. That is safe because a message is
-  /// only ever held when the circuit is busy, and the circuit-free
-  /// flush ships the batch the moment the wire could have accepted its
-  /// first member — a hold never outlasts the backlog the message would
-  /// have queued behind anyway, so even a stalled RPC requester waits
-  /// no longer than flat wire queueing would have cost it.
-  bool combinable(const HopPlan& plan) const {
-    (void)plan;
-    return combining_on();
+  // --- gateway message combining (per source cluster) ---------------
+  /// True when `from`'s gateway combines. Every message kind is
+  /// eligible, including blocking request/reply traffic. That is safe
+  /// because a message is only ever held when the circuit is busy, and
+  /// the circuit-free flush ships the batch the moment the wire could
+  /// have accepted its first member — a hold never outlasts the backlog
+  /// the message would have queued behind anyway, so even a stalled RPC
+  /// requester waits no longer than flat wire queueing would have cost
+  /// it.
+  bool combining_on(ClusterId from) const {
+    return combine_shards_[static_cast<std::size_t>(from)].flush_bytes > 0;
   }
   /// Buffer index inside a source-cluster shard: one buffer per
   /// (destination cluster, message kind, fault service class) so a
@@ -242,9 +248,11 @@ class Network {
     sim::SimTime epoch_due = -1;   // pending epoch-flush time, -1 = none
   };
   struct alignas(64) CombineShard {
-    std::vector<CombineBuffer> buffers;
+    /// Flush threshold in bytes; 0 = this gateway does not combine.
+    std::size_t flush_bytes = 0;
+    std::vector<CombineBuffer> buffers;  // allocated when armed
   };
-  std::vector<CombineShard> combine_shards_;  // per source cluster; empty = off
+  std::vector<CombineShard> combine_shards_;  // per source cluster
 };
 
 }  // namespace alb::net

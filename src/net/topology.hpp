@@ -86,7 +86,7 @@ struct WanTransportConfig {
   /// 0 disables combining entirely.
   std::size_t combine_bytes = 0;
   /// Epoch-boundary flush period for sub-threshold combine buffers
-  /// (bounds the latency a held message can accrue).
+  /// (bounds the latency a held message can accrue). Must be positive.
   sim::SimTime combine_epoch = sim::microseconds(200);
   /// Per-wire-message WAN framing bytes (headers the circuit charges in
   /// addition to payload). Combining amortizes this across the batch.
@@ -100,10 +100,12 @@ struct WanTransportConfig {
     if (stream_chunk_bytes == 0) {
       throw ConfigError("wan transport: stream_chunk_bytes must be positive");
     }
-    if (combine_bytes > 0 && combine_epoch <= 0) {
-      throw ConfigError(
-          "wan transport: combine_epoch must be positive when combining is armed (got " +
-          std::to_string(combine_epoch) + " ns) — a sub-threshold buffer would never flush");
+    // Checked even with combine_bytes = 0: a gateway can be armed
+    // mid-run (Network::arm_combining).
+    if (combine_epoch <= 0) {
+      throw ConfigError("wan transport: combine_epoch must be positive (got " +
+                        std::to_string(combine_epoch) +
+                        " ns) — a sub-threshold combine buffer would never flush");
     }
   }
 };

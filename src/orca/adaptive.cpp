@@ -64,8 +64,8 @@ void Engine::on_epoch(net::ClusterId c) {
     }
   }
 
-  // Cluster-level combining: the cluster's combiner traffic is
-  // remote-dominated — route it through the relay from now on.
+  // Cluster-level combining: the cluster's data sends are remote-
+  // dominated — combine them at its gateway from now on.
   if (cfg_.allow_combine && !s.combine_on && s.items >= cfg_.combine_min_items) {
     const bool hot = static_cast<double>(s.items_remote) >=
                      cfg_.combine_remote_share * static_cast<double>(s.items);
@@ -74,6 +74,7 @@ void Engine::on_epoch(net::ClusterId c) {
     s.items_remote = 0;
     if (s.combine_hot >= cfg_.hysteresis_epochs) {
       s.combine_on = true;
+      net_->arm_combining(c, coll::kDefaultCombineBytes);
       if (rec) {
         rec->instant(trace::Category::Orca, "orca.adapt.combine.on", leader, cid, 0);
       }

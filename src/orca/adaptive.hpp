@@ -24,9 +24,11 @@
 //     the controller has it repartition the remaining jobs round-robin
 //     over per-cluster queues (work-stealing fallback once a local
 //     queue drains).
-//   * cluster-level combining — a ClusterCombiner consults the per-
-//     cluster `combine_on` flag; when a cluster's senders emit a
-//     remote-dominated item stream, its relay combining is enabled.
+//   * cluster-level combining — Runtime::send_data counts each
+//     cluster's local and remote data sends; when a cluster's stream is
+//     remote-dominated, the controller arms gateway message combining
+//     for traffic leaving that cluster (net::Network::arm_combining at
+//     coll::kDefaultCombineBytes).
 //   * tree collectives — when a cluster's ordered broadcasts are large
 //     enough that gateway replication beats per-pair serialization (the
 //     PR 7 shape rule), its wide-area dissemination switches to the
@@ -97,8 +99,8 @@ struct Config {
   /// served gets came from remote clusters.
   double queue_remote_share = 0.5;
   std::uint64_t queue_min_gets = 8;
-  /// Enable a cluster's relay combining when at least this share of its
-  /// combiner items crossed clusters.
+  /// Arm a cluster's gateway combining when at least this share of its
+  /// data sends crossed clusters.
   double combine_remote_share = 0.25;
   std::uint64_t combine_min_items = 64;
   /// Switch a cluster to tree dissemination when its average broadcast
@@ -149,8 +151,8 @@ class Engine {
       ++s.t_gets_remote;
     }
   }
-  /// One combiner item sent by a process in cluster `c`.
-  void note_combiner_item(net::ClusterId c, bool remote) {
+  /// One Runtime::send_data by a process in cluster `c`.
+  void note_data_send(net::ClusterId c, bool remote) {
     Shard& s = shard(c);
     ++s.items;
     ++s.t_items;
@@ -159,9 +161,6 @@ class Engine {
       ++s.t_items_remote;
     }
   }
-
-  /// Read by ClusterCombiner senders in their own cluster's context.
-  bool combine_enabled(net::ClusterId c) const { return shards_[static_cast<std::size_t>(c)].combine_on; }
 
   /// Registers a central queue's split action (setup time only). The
   /// callback runs in the master's cluster context at the epoch that

@@ -38,10 +38,11 @@ constexpr const char* to_string(Mode m) {
   return "?";
 }
 
-/// Gateway combine threshold the harness arms by default when the tree
-/// collectives are selected and the config does not set its own (the
-/// paper's RA hand-optimization, promoted to a transport feature).
-inline constexpr std::size_t kTreeDefaultCombineBytes = 4096;
+/// Gateway combine threshold armed when the config does not set its
+/// own: by the harness under the tree collectives, by RA's optimized
+/// program, and by the adaptive combining policy (the paper's RA
+/// hand-optimization, promoted to a transport feature).
+inline constexpr std::size_t kDefaultCombineBytes = 4096;
 
 struct Config {
   Mode mode = Mode::Flat;

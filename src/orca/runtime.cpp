@@ -424,6 +424,7 @@ void Runtime::handle_rpc_request(net::NodeId at, RpcRequest req) {
 void Runtime::send_data(const Proc& from, int dst_rank, int tag, std::size_t bytes,
                         std::shared_ptr<const void> payload, std::uint32_t combined_members) {
   assert(tag >= 0 && "application tags must be non-negative");
+  if (adaptive_) adaptive_->note_data_send(from.cluster(), !from.same_cluster(dst_rank));
   net::Message m;
   m.src = from.node;
   m.dst = static_cast<net::NodeId>(dst_rank);

@@ -136,6 +136,8 @@ class Runtime {
   // --- raw messaging (for the C-style re-implementations of §4.8) ---
   /// `combined_members` > 1 marks an application-level combined
   /// shipment carrying that many logical messages (WAN accounting).
+  /// Under --adapt every call feeds the combining policy's local-vs-
+  /// remote send signal (orca/adaptive.hpp).
   void send_data(const Proc& from, int dst_rank, int tag, std::size_t bytes,
                  std::shared_ptr<const void> payload = nullptr,
                  std::uint32_t combined_members = 1);

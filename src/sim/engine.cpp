@@ -292,8 +292,8 @@ int Engine::resolve_threads() const {
 
 std::uint64_t Engine::run_partitioned() {
   // A traced partitioned run needs per-owner recorder shards; a single
-  // shared recorder would race.
-  assert((session_ == nullptr || !tracers_.empty()) &&
+  // shared recorder would race. (An untraced session has neither.)
+  assert(tracer_single_ == nullptr &&
          "partitioned runs require an owner-sharded trace session");
   const int P = partitions_;
   const int T = resolve_threads();

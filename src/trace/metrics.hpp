@@ -63,7 +63,7 @@ struct MetricsSnapshot {
   std::map<std::string, Histogram> histograms;
 
   /// Accumulates `other` into this snapshot: counters and gauges add,
-  /// histograms merge. Used by campaign::aggregate_metrics.
+  /// histograms merge.
   void merge(const MetricsSnapshot& other);
 
   /// Counter-or-gauge lookup by exact name; 0 when absent.

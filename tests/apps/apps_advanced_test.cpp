@@ -70,7 +70,6 @@ RaParams small_ra() {
   RaParams p;
   p.stones = 4;
   p.node_batch = 4;
-  p.cluster_batch = 16;
   return p;
 }
 
@@ -105,6 +104,22 @@ TEST(Ra, CombiningCutsInterClusterMessages) {
   EXPECT_EQ(orig.checksum, opt.checksum);
   EXPECT_LT(opt.traffic.kind(net::MsgKind::Data).inter_msgs,
             orig.traffic.kind(net::MsgKind::Data).inter_msgs);
+  // The optimized program is the original one plus gateway combining.
+  EXPECT_GT(opt.stats.value("net/wan.combined.flushes"), 0.0);
+  EXPECT_EQ(orig.stats.value("net/wan.combined.flushes"), 0.0);
+}
+
+TEST(Ra, NodeBatchingCutsDataMessages) {
+  auto batched = small_ra();
+  auto single = small_ra();
+  single.node_batch = 1;
+  AppResult b = run_ra(cfg(1, 4, false), batched);
+  AppResult s1 = run_ra(cfg(1, 4, false), single);
+  EXPECT_EQ(b.checksum, s1.checksum);
+  EXPECT_EQ(b.checksum, ra_checksum(ra_reference(batched)));
+  EXPECT_GT(b.traffic.kind(net::MsgKind::Data).intra_msgs, 0u);
+  EXPECT_LT(b.traffic.kind(net::MsgKind::Data).intra_msgs,
+            s1.traffic.kind(net::MsgKind::Data).intra_msgs);
 }
 
 // ----------------------------------------------------------------- ACP

@@ -144,7 +144,7 @@ TEST(AdaptivePolicies, AspArmsSequencerMigrationAndApproachesHandOptimized) {
 }
 
 TEST(AdaptivePolicies, PoliciesActAtMostOncePerClusterUnderOscillatingLoad) {
-  // RA's phase structure turns combiner traffic on and off repeatedly
+  // RA's phase structure turns its data sends on and off repeatedly
   // (bursts between barriers). The ratchet bounds the adaptive engine
   // to at most one transition per (policy, cluster): the signal may
   // oscillate, the policies must not.
@@ -164,6 +164,8 @@ TEST(AdaptivePolicies, PoliciesActAtMostOncePerClusterUnderOscillatingLoad) {
   const double combined = r.stats.value("orca/adapt.combine.enabled");
   EXPECT_GE(combined, 1.0) << "RA's remote-dominated items must enable combining";
   EXPECT_LE(combined, 4.0) << "at most one combine transition per cluster";
+  EXPECT_GT(r.stats.value("net/wan.combined.flushes"), 0.0)
+      << "the combine policy must actually arm gateway combining";
 }
 
 TEST(AdaptivePrecedence, ExplicitCollectiveShapeWinsOverTreePolicy) {

@@ -1,6 +1,7 @@
 // Transport-level WAN features: gateway message combining (size and
-// epoch flushes, idle bypass, exclusions), per-wire framing, parallel
-// sub-streams, and the WanTransportConfig validation surface.
+// epoch flushes, idle bypass, exclusions, per-cluster arming), per-wire
+// framing, parallel sub-streams, and the WanTransportConfig validation
+// surface.
 
 #include <gtest/gtest.h>
 
@@ -233,6 +234,40 @@ TEST(Combine, ParallelStreamsSpeedLargeTransfersAndSingleStreamIsIdentical) {
   EXPECT_GT(arrival[2], sim::milliseconds(100));
 }
 
+TEST(Combine, ArmingIsPerSourceClusterAndTheFirstArmWins) {
+  // Config threshold 0: no gateway combines until armed. Only cluster
+  // 0 is armed; the second arm must not replace its 2048 B threshold.
+  auto cfg = das_config(2, 8);
+  cfg.wan_transport.combine_epoch = sim::milliseconds(100);
+  sim::Engine eng;
+  Network net(eng, cfg);
+  net.arm_combining(0, 2048);
+  net.arm_combining(0, 1 << 20);
+  // 0 -> 1: a 12 KB control primes the circuit, so the eight 512 B
+  // messages are held and size-flush in two batches of four (a 1 MB
+  // threshold would have shipped them as one circuit-free batch).
+  net.send(mk(0, 8, 12 * 1024, MsgKind::Control));
+  eng.schedule_after(sim::milliseconds(20), [&net] {
+    for (NodeId i = 0; i < 8; ++i) net.send(mk(i, 8 + i, 512));
+  });
+  // 1 -> 0, same burst shape in cluster 1's context: one wire message
+  // per send.
+  eng.schedule_on(1, sim::milliseconds(10),
+                  [&net] { net.send(mk(8, 0, 12 * 1024, MsgKind::Control)); });
+  eng.schedule_on(1, sim::milliseconds(20), [&net] {
+    for (NodeId i = 1; i <= 4; ++i) net.send(mk(8 + i, i, 512));
+  });
+  eng.run();
+
+  const auto& c = net.stats().combined();
+  EXPECT_EQ(c.flushes, 2u);
+  EXPECT_EQ(c.members, 8u);
+  EXPECT_EQ(net.wan_link(0, 1).messages(), 3u);  // control + two batches
+  EXPECT_EQ(net.wan_link(1, 0).messages(), 5u);  // control + four singles
+  EXPECT_EQ(net.stats().kind(MsgKind::Data).inter_msgs, 2u + 4u);
+  EXPECT_EQ(net.stats().kind(MsgKind::Data).inter_logical_msgs, 8u + 4u);
+}
+
 TEST(Combine, TransportConfigValidation) {
   auto reject = [](auto mutate) {
     TopologyConfig cfg = das_config(2, 2);
@@ -246,6 +281,8 @@ TEST(Combine, TransportConfigValidation) {
     wt.combine_bytes = 1024;
     wt.combine_epoch = 0;
   });
+  // Also with combining off in the config: a gateway can be armed later.
+  reject([](WanTransportConfig& wt) { wt.combine_epoch = 0; });
   // The in-range corners construct.
   TopologyConfig ok = das_config(2, 2);
   ok.wan_transport.streams = 1024;

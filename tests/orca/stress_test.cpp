@@ -7,7 +7,6 @@
 #include <map>
 #include <vector>
 
-#include "core/message_combiner.hpp"
 #include "net/presets.hpp"
 #include "orca/runtime.hpp"
 #include "orca/shared_object.hpp"
@@ -165,26 +164,6 @@ TEST(Endpoint, ClearHandlerRestoresQueueing) {
     }
   });
   f.rt.run_all();
-}
-
-TEST(Combiner, SenderBatchingFlushesOnThresholdAndExplicitly) {
-  Fixture f(net::das_config(1, 3));
-  wide::ClusterCombiner<int>::Options opt;
-  opt.sender_batch_items = 4;
-  opt.item_bytes = 8;
-  std::vector<int> got;
-  wide::ClusterCombiner<int> comb(f.rt, opt, [&](int, int&& v) { got.push_back(v); });
-  f.rt.spawn_all([&](Proc& p) -> sim::Task<void> {
-    if (p.rank != 0) co_return;
-    for (int i = 0; i < 6; ++i) comb.send(p, 1, i);  // 4 flush + 2 buffered
-    co_await p.compute(sim::milliseconds(1));
-    EXPECT_EQ(got.size(), 4u);  // threshold batch arrived
-    comb.flush(p);
-    co_await p.compute(sim::milliseconds(1));
-    EXPECT_EQ(got.size(), 6u);
-  });
-  f.rt.run_all();
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
 TEST(Sequencer, RotatingServesManyClustersFairly) {

@@ -14,7 +14,6 @@
 
 #include "apps/app.hpp"
 #include "campaign/campaign.hpp"
-#include "campaign/metrics.hpp"
 #include "trace/chrome_trace.hpp"
 
 namespace {
@@ -40,8 +39,8 @@ apps::AppConfig traced_config(int clusters, int per, std::uint64_t seed) {
 }
 
 /// Runs the same traced job list under the given worker count and
-/// serializes every result: per-run trace JSON + per-run metrics CSV +
-/// the campaign-level aggregate CSV, concatenated.
+/// serializes every result: per-run trace JSON + per-run metrics CSV,
+/// concatenated.
 std::string run_campaign_serialized(int jobs) {
   const apps::AppEntry& asp = find_app("ASP");
   std::vector<std::function<apps::AppResult()>> tasks;
@@ -58,7 +57,6 @@ std::string run_campaign_serialized(int jobs) {
     out << trace::chrome_trace_string(*r.trace);
     r.stats.write_csv(out);
   }
-  campaign::aggregate_metrics(results).write_csv(out);
   return out.str();
 }
 

@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
               "WAN bandwidth is per-stream");
   opts.define("combine-bytes", "-1",
               "gateway combine flush threshold in bytes (0 = off; -1 = policy "
-              "default: off for --coll=flat, 4096 for --coll=tree)");
+              "default: off for --coll=flat, 4096 for --coll=tree and RA --opt)");
   opts.define_flag("adapt",
                    "self-optimizing runtime: detect WAN-bound access patterns at "
                    "epoch boundaries and apply the matching Sec.4 optimization "

@@ -56,7 +56,7 @@ for fig in "bench_fig --app water" bench_fig15; do
     || { echo "$fig: parallel CSV differs from sequential"; exit 1; }
 done
 
-echo "=== fixed points: figures + ablation must match results/ ==="
+echo "=== fixed points: figures, ablation + bench tables must match results/ ==="
 # The checked-in renditions are goldens: a change that moves a speedup
 # curve or an ablation row must regenerate them in the same commit.
 # ASCII rendering is forced so the gate does not depend on matplotlib.
@@ -76,6 +76,18 @@ diff -r results/figures build-release/figures \
 ./build-release/bench/bench_ablation > build-release/ablation.txt
 diff results/ablation.txt build-release/ablation.txt \
   || { echo "bench_ablation output differs from results/ablation.txt"; exit 1; }
+# The paper-table benches, one `### <bench>` section each.
+for spec in bench_fig15 bench_fig16 \
+            "bench_fig --app acp" "bench_fig --app asp" "bench_fig --app atpg" \
+            "bench_fig --app ida" "bench_fig --app ra" "bench_fig --app sor" \
+            "bench_fig --app tsp" "bench_fig --app water" \
+            bench_sensitivity bench_table1 bench_table2 bench_table4_5 bench_validation; do
+  echo "### $spec"
+  ./build-release/bench/$spec
+  echo
+done > build-release/all_benches.txt
+diff results/all_benches.txt build-release/all_benches.txt \
+  || { echo "bench outputs differ from results/all_benches.txt"; exit 1; }
 
 echo "=== bench smoke ==="
 ./build-release/bench/bench_engine --smoke --json build-release/BENCH_engine.smoke.json
