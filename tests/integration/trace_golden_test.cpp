@@ -32,13 +32,14 @@
 // Application checksums are unchanged everywhere: the computed answers
 // did not move, only control-plane scheduling.
 //
-// Scenario: the 4-cluster ASP + TSP runs of the issue's acceptance
+// Scenario: the 4-cluster ASP, TSP and ATPG runs of the acceptance
 // criteria (small calibrated workloads; both the original and the
 // wide-area-optimized variants), plus a pure-engine synthetic schedule.
 
 #include <gtest/gtest.h>
 
 #include "apps/asp.hpp"
+#include "apps/atpg.hpp"
 #include "apps/tsp.hpp"
 #include "net/presets.hpp"
 #include "sim/engine.hpp"
@@ -106,6 +107,22 @@ TEST(TraceGolden, Tsp4ClusterOptimized) {
                 Golden{1766433423914237749ull, 341ull, 8184521,
                        9644552255054130231ull},
                 "TSP optimized");
+}
+
+// ATPG's simulated compute is evals x ns_per_gate_eval, so these pins
+// also fix the gate-evaluation count of every fault the kernel tests.
+TEST(TraceGolden, Atpg4ClusterOriginal) {
+  expect_golden(run_atpg(cfg4(false), AtpgParams{}),
+                Golden{7605656629576097032ull, 29424ull, 7912756480,
+                       2739595993063765949ull},
+                "ATPG original");
+}
+
+TEST(TraceGolden, Atpg4ClusterOptimized) {
+  expect_golden(run_atpg(cfg4(true), AtpgParams{}),
+                Golden{15497775523442545684ull, 2449ull, 7084286222,
+                       2739595993063765949ull},
+                "ATPG optimized");
 }
 
 // Centralized-sequencer pins: the single-cluster default and an
