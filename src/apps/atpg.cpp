@@ -1,5 +1,7 @@
 #include "apps/atpg.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "core/cluster_reduce.hpp"
@@ -11,92 +13,132 @@ namespace {
 
 enum class GateOp : std::uint8_t { And, Or, Xor, Not };
 
+/// Gate values are simulated 64 input vectors at a time, one bit lane
+/// per vector. Value slots [0, kPiSlots) hold the primary inputs (input
+/// i reads bit i % 64 of a vector); slot kPiSlots + i holds gate i.
+constexpr std::size_t kPiSlots = 64;
+constexpr int kLanes = 64;
+
 struct Gate {
   GateOp op;
-  int a;  // input index: < 0 means primary input ~a
-  int b;  // second input (unused for Not)
+  std::uint32_t a;  // value slot of the first input
+  std::uint32_t b;  // value slot of the second input (unused for Not)
 };
 
 /// A random layered combinational circuit. Indices: gate i may read
 /// primary inputs or gates < i; the last kOutputs gates are outputs.
 struct Circuit {
   std::vector<Gate> gates;
-  int primary_inputs;
-  static constexpr int kOutputs = 16;
+  static constexpr std::size_t kOutputs = 16;
 
   static Circuit generate(int num_gates, int num_pi, std::uint64_t seed) {
     Circuit c;
-    c.primary_inputs = num_pi;
     c.gates.reserve(static_cast<std::size_t>(num_gates));
     sim::Rng rng(seed);
     for (int i = 0; i < num_gates; ++i) {
-      auto pick_input = [&](int hi) -> int {
+      auto pick_input = [&](int hi) -> std::uint32_t {
         // Bias toward recent gates to get deep propagation paths.
         if (hi == 0 || rng.uniform() < 0.25) {
-          return ~static_cast<int>(rng.uniform_int(0, num_pi - 1));
+          return static_cast<std::uint32_t>(rng.uniform_int(0, num_pi - 1) % kPiSlots);
         }
         int lo = hi > 24 ? hi - 24 : 0;
-        return static_cast<int>(rng.uniform_int(lo, hi - 1));
+        return static_cast<std::uint32_t>(kPiSlots + rng.uniform_int(lo, hi - 1));
       };
       Gate g;
       g.op = static_cast<GateOp>(rng.uniform_int(0, 3));
       g.a = pick_input(i);
-      g.b = g.op == GateOp::Not ? 0 : pick_input(i);
+      g.b = g.op == GateOp::Not ? kPiSlots : pick_input(i);
       c.gates.push_back(g);
     }
     return c;
   }
 
-  /// Evaluates the circuit; if fault_gate >= 0 its output is stuck at
-  /// fault_value. Returns a hash of the output gates and counts gate
-  /// evaluations into *evals.
-  std::uint64_t evaluate(std::uint64_t input_bits, int fault_gate, bool fault_value,
-                         long long* evals) const {
-    std::vector<char> value(gates.size());
-    auto read = [&](int idx) -> bool {
-      if (idx < 0) return (input_bits >> (~idx % 64)) & 1;
-      return value[static_cast<std::size_t>(idx)] != 0;
-    };
-    for (std::size_t i = 0; i < gates.size(); ++i) {
+  std::size_t slots() const { return kPiSlots + gates.size(); }
+  /// First output slot (a circuit smaller than kOutputs has none).
+  std::size_t first_output() const {
+    return slots() - (gates.size() >= kOutputs ? kOutputs : 0);
+  }
+
+  /// Evaluates gates [from, end) into `value`, whose lower slots are set.
+  void evaluate(std::uint64_t* value, std::size_t from) const {
+    for (std::size_t i = from; i < gates.size(); ++i) {
       const Gate& g = gates[i];
-      bool v = false;
+      const std::uint64_t a = value[g.a];
+      const std::uint64_t b = value[g.b];
+      std::uint64_t v = 0;
       switch (g.op) {
-        case GateOp::And: v = read(g.a) && read(g.b); break;
-        case GateOp::Or: v = read(g.a) || read(g.b); break;
-        case GateOp::Xor: v = read(g.a) != read(g.b); break;
-        case GateOp::Not: v = !read(g.a); break;
+        case GateOp::And: v = a & b; break;
+        case GateOp::Or: v = a | b; break;
+        case GateOp::Xor: v = a ^ b; break;
+        case GateOp::Not: v = ~a; break;
       }
-      if (static_cast<int>(i) == fault_gate) v = fault_value;
-      value[i] = v ? 1 : 0;
+      value[kPiSlots + i] = v;
     }
-    *evals += static_cast<long long>(gates.size());
+  }
+
+  /// The output hash of one lane: what a one-vector evaluation returns.
+  std::uint64_t output_hash(const std::uint64_t* value, int lane) const {
     std::uint64_t h = kHashSeed;
-    for (std::size_t i = gates.size() - kOutputs; i < gates.size(); ++i) {
-      h = hash_mix(h, static_cast<std::uint64_t>(value[i]));
+    for (std::size_t s = first_output(); s < slots(); ++s) {
+      h = hash_mix(h, (value[s] >> lane) & 1);
     }
     return h;
   }
 };
+
+/// Transposes up to 64 input vectors into the primary-input slots: bit
+/// `lane` of slot i is bit i of vector `lane`.
+void load_inputs(const std::uint64_t* vectors, int lanes, std::uint64_t* value) {
+  for (std::size_t i = 0; i < kPiSlots; ++i) {
+    std::uint64_t w = 0;
+    for (int lane = 0; lane < lanes; ++lane) w |= ((vectors[lane] >> i) & 1) << lane;
+    value[i] = w;
+  }
+}
 
 struct FaultResult {
   bool detected = false;
   long long evals = 0;
 };
 
-/// Tries to find a test pattern for (gate, stuck_value).
+/// Tries to find a test pattern for (gate, stuck_value): pseudo-random
+/// vectors are tried in order until the good and faulty circuits'
+/// output hashes differ. The work charged is one good and one faulty
+/// evaluation of the whole circuit per vector tried, as if the vectors
+/// were simulated one at a time.
 FaultResult test_fault(const Circuit& c, int gate, bool stuck, int max_vectors,
                        std::uint64_t seed) {
   FaultResult r;
   sim::Rng rng(seed ^ (static_cast<std::uint64_t>(gate) * 2 + (stuck ? 1 : 0)));
-  for (int v = 0; v < max_vectors; ++v) {
-    std::uint64_t input = rng.next_u64();
-    std::uint64_t good = c.evaluate(input, -1, false, &r.evals);
-    std::uint64_t bad = c.evaluate(input, gate, stuck, &r.evals);
-    if (good != bad) {
-      r.detected = true;
-      return r;
+  const long long evals_per_vector = 2 * static_cast<long long>(c.gates.size());
+  thread_local std::vector<std::uint64_t> scratch;
+  scratch.resize(2 * c.slots());
+  std::uint64_t* good = scratch.data();
+  std::uint64_t* bad = good + c.slots();
+  const std::size_t fault_slot = kPiSlots + static_cast<std::size_t>(gate);
+  for (int base = 0; base < max_vectors; base += kLanes) {
+    const int lanes = std::min(kLanes, max_vectors - base);
+    std::uint64_t vectors[kLanes];
+    for (int lane = 0; lane < lanes; ++lane) vectors[lane] = rng.next_u64();
+    load_inputs(vectors, lanes, good);
+    c.evaluate(good, 0);
+    // Below the fault the faulty circuit agrees with the good one.
+    std::copy(good, good + fault_slot, bad);
+    bad[fault_slot] = stuck ? ~0ull : 0;
+    c.evaluate(bad, static_cast<std::size_t>(gate) + 1);
+    std::uint64_t differ = 0;
+    for (std::size_t s = c.first_output(); s < c.slots(); ++s) differ |= good[s] ^ bad[s];
+    if (lanes < kLanes) differ &= (1ull << lanes) - 1;
+    for (; differ != 0; differ &= differ - 1) {
+      const int lane = std::countr_zero(differ);
+      if (c.output_hash(good, lane) != c.output_hash(bad, lane)) {
+        r.detected = true;
+        r.evals = (base + lane + 1) * evals_per_vector;
+        return r;
+      }
     }
   }
+  r.evals = std::max(max_vectors, 0) * evals_per_vector;
   return r;
 }
 
@@ -120,6 +162,7 @@ AtpgOutcome atpg_reference(const AtpgParams& params, std::uint64_t seed) {
   for (int g = 0; g < params.gates; ++g) {
     for (int stuck = 0; stuck < 2; ++stuck) {
       FaultResult r = test_fault(c, g, stuck != 0, params.max_vectors_per_fault, seed);
+      out.gate_evals += r.evals;
       if (r.detected) {
         ++out.patterns_found;
         ++out.faults_detected;

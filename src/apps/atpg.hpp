@@ -35,6 +35,9 @@ struct AtpgOutcome {
   long long patterns_found = 0;
   long long faults_detected = 0;
   long long faults_untestable = 0;
+  /// Gate evaluations charged (the work measure; atpg_reference only,
+  /// not part of the checksum).
+  long long gate_evals = 0;
 };
 
 /// Sequential reference (also defines the checksum).

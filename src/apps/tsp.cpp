@@ -1,7 +1,10 @@
 #include "apps/tsp.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/cluster_reduce.hpp"
@@ -19,6 +22,10 @@ struct Instance {
   int d(int a, int b) const { return dist[static_cast<std::size_t>(a) * n + b]; }
 
   static Instance generate(int n, std::uint64_t seed) {
+    if (n > kMaxTspCities) {
+      throw std::invalid_argument("TSP: " + std::to_string(n) + " cities exceed the limit of " +
+                                  std::to_string(kMaxTspCities));
+    }
     Instance ins;
     ins.n = n;
     ins.dist.assign(static_cast<std::size_t>(n) * n, 0);
@@ -85,32 +92,32 @@ struct SearchResult {
   long long nodes = 0;
 };
 
-void dfs(const Instance& ins, std::vector<int>& path, std::vector<char>& used,
-         long long length, long long bound, SearchResult* out) {
-  ++out->nodes;
-  if (length >= bound) return;  // prune against the fixed global bound
-  if (static_cast<int>(path.size()) == ins.n) {
-    long long tour = length + ins.d(path.back(), 0);
+/// Searches below a node that is already counted and under the bound.
+/// `unused` is the bitmask of cities not yet on the path; every child is
+/// counted as one node whether or not the bound prunes it.
+void dfs(const Instance& ins, std::uint64_t unused, int cur, long long length,
+         long long bound, SearchResult* out) {
+  const int* row = &ins.dist[static_cast<std::size_t>(cur) * ins.n];
+  if (unused == 0) {
+    const long long tour = length + row[0];
     if (tour <= bound) out->best = std::min(out->best, tour);
     return;
   }
-  int cur = path.back();
-  for (int c = 1; c < ins.n; ++c) {
-    if (used[c]) continue;
-    used[c] = 1;
-    path.push_back(c);
-    dfs(ins, path, used, length + ins.d(cur, c), bound, out);
-    path.pop_back();
-    used[c] = 0;
+  out->nodes += std::popcount(unused);
+  for (std::uint64_t m = unused; m != 0; m &= m - 1) {
+    const int c = std::countr_zero(m);
+    const long long next = length + row[c];
+    if (next < bound) dfs(ins, unused & ~(1ull << c), c, next, bound, out);
   }
 }
 
 SearchResult solve_job(const Instance& ins, const Job& job, long long bound) {
   SearchResult r;
-  std::vector<int> path = job.prefix;
-  std::vector<char> used(static_cast<std::size_t>(ins.n), 0);
-  for (int c : path) used[c] = 1;
-  dfs(ins, path, used, job.length, bound, &r);
+  r.nodes = 1;  // the job's own node
+  if (job.length >= bound) return r;
+  std::uint64_t unused = ((1ull << ins.n) - 1) & ~1ull;  // city 0 starts every path
+  for (int c : job.prefix) unused &= ~(1ull << c);
+  dfs(ins, unused, job.prefix.back(), job.length, bound, &r);
   return r;
 }
 

@@ -16,7 +16,12 @@
 
 namespace alb::apps {
 
+/// The search keeps the unvisited cities in a 64-bit mask.
+inline constexpr int kMaxTspCities = 63;
+
 struct TspParams {
+  /// At most kMaxTspCities; tsp_reference and run_tsp throw
+  /// std::invalid_argument above it.
   int cities = 13;
   /// Prefix depth used to generate jobs (master-side): depth 4 yields
   /// 1320 jobs, ~22 per worker at 60 CPUs.

@@ -6,11 +6,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "apps/acp.hpp"
 #include "apps/asp.hpp"
+#include "apps/atpg.hpp"
 #include "apps/ida.hpp"
 #include "apps/ra.hpp"
 #include "apps/sor.hpp"
@@ -32,45 +36,161 @@ AppConfig cfg(int clusters, int per, bool optimized = false) {
 
 // ---------------------------------------------------------------- ASP
 // Floyd-Warshall output must satisfy the triangle inequality and
-// preserve zero diagonals; spot-check against Dijkstra-by-hand on a
-// tiny instance computed with an independent implementation.
+// preserve zero diagonals, and the kernel's checksum must equal the
+// hash of an independently computed matrix. n = 37 is a multiple of no
+// SIMD width, so a vectorized relaxation's remainder loop is covered.
 TEST(AspKernel, OutputsSatisfyShortestPathAxioms) {
-  // Re-derive the final matrix through the public parallel API.
-  AspParams prm;
-  prm.nodes = 24;
-  // The checksum locks the matrix; rebuild it independently here.
-  sim::Rng rng(42);
-  const int n = prm.nodes;
-  std::vector<std::vector<int>> d(n, std::vector<int>(n));
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      d[i][j] = i == j ? 0 : static_cast<int>(rng.uniform_int(1, 1000));
-    }
-  }
-  auto ref = d;
-  for (int k = 0; k < n; ++k) {
+  for (int n : {24, 37}) {
+    AspParams prm;
+    prm.nodes = n;
+    sim::Rng rng(42);
+    std::vector<std::vector<int>> d(n, std::vector<int>(n));
     for (int i = 0; i < n; ++i) {
       for (int j = 0; j < n; ++j) {
-        ref[i][j] = std::min(ref[i][j], ref[i][k] + ref[k][j]);
+        d[i][j] = i == j ? 0 : static_cast<int>(rng.uniform_int(1, 1000));
+      }
+    }
+    auto ref = d;
+    for (int k = 0; k < n; ++k) {
+      for (int i = 0; i < n; ++i) {
+        for (int j = 0; j < n; ++j) {
+          ref[i][j] = std::min(ref[i][j], ref[i][k] + ref[k][j]);
+        }
+      }
+    }
+    for (int i = 0; i < n; ++i) {
+      EXPECT_EQ(ref[i][i], 0);
+      for (int j = 0; j < n; ++j) {
+        EXPECT_LE(ref[i][j], d[i][j]);  // never longer than the direct edge
+        for (int k = 0; k < n; ++k) {
+          EXPECT_LE(ref[i][j], ref[i][k] + ref[k][j]) << i << "," << j << "," << k;
+        }
+      }
+    }
+    // The kernel's checksum is the row-major hash of this matrix.
+    std::uint64_t h = kHashSeed;
+    for (const auto& row : ref) {
+      for (int v : row) h = hash_mix(h, static_cast<std::uint64_t>(v));
+    }
+    EXPECT_EQ(asp_reference_checksum(prm, 42), h) << "n=" << n;
+  }
+}
+
+// --------------------------------------------------------------- ATPG
+// The kernel simulates 64 vectors per pass; this oracle is the plain
+// one-vector-at-a-time fault simulator. Detection and the charged gate
+// evaluations must agree exactly, across the 64-lane chunk boundaries
+// and the primary-input wrap at 64.
+struct ScalarCircuit {
+  struct Gate {
+    int op;  // 0 And, 1 Or, 2 Xor, 3 Not
+    int a;   // < 0: primary input ~a
+    int b;
+  };
+  std::vector<Gate> gates;
+
+  ScalarCircuit(int num_gates, int num_pi, std::uint64_t seed) {
+    sim::Rng rng(seed);
+    for (int i = 0; i < num_gates; ++i) {
+      auto pick_input = [&](int hi) -> int {
+        if (hi == 0 || rng.uniform() < 0.25) {
+          return ~static_cast<int>(rng.uniform_int(0, num_pi - 1));
+        }
+        int lo = hi > 24 ? hi - 24 : 0;
+        return static_cast<int>(rng.uniform_int(lo, hi - 1));
+      };
+      Gate g;
+      g.op = static_cast<int>(rng.uniform_int(0, 3));
+      g.a = pick_input(i);
+      g.b = g.op == 3 ? 0 : pick_input(i);
+      gates.push_back(g);
+    }
+  }
+
+  std::uint64_t evaluate(std::uint64_t input, int fault_gate, bool fault_value) const {
+    std::vector<char> value(gates.size());
+    auto read = [&](int idx) -> bool {
+      if (idx < 0) return (input >> (~idx % 64)) & 1;
+      return value[static_cast<std::size_t>(idx)] != 0;
+    };
+    for (std::size_t i = 0; i < gates.size(); ++i) {
+      const Gate& g = gates[i];
+      bool v = false;
+      switch (g.op) {
+        case 0: v = read(g.a) && read(g.b); break;
+        case 1: v = read(g.a) || read(g.b); break;
+        case 2: v = read(g.a) != read(g.b); break;
+        default: v = !read(g.a); break;
+      }
+      if (static_cast<int>(i) == fault_gate) v = fault_value;
+      value[i] = v ? 1 : 0;
+    }
+    std::uint64_t h = kHashSeed;
+    for (std::size_t i = gates.size() - 16; i < gates.size(); ++i) {
+      h = hash_mix(h, static_cast<std::uint64_t>(value[i]));
+    }
+    return h;
+  }
+};
+
+AtpgOutcome scalar_atpg(const AtpgParams& prm, std::uint64_t seed) {
+  const ScalarCircuit c(prm.gates, prm.primary_inputs, seed);
+  AtpgOutcome out;
+  for (int g = 0; g < prm.gates; ++g) {
+    for (int stuck = 0; stuck < 2; ++stuck) {
+      sim::Rng rng(seed ^ (static_cast<std::uint64_t>(g) * 2 + stuck));
+      bool detected = false;
+      for (int v = 0; v < prm.max_vectors_per_fault && !detected; ++v) {
+        const std::uint64_t input = rng.next_u64();
+        out.gate_evals += 2 * prm.gates;
+        detected = c.evaluate(input, -1, false) != c.evaluate(input, g, stuck != 0);
+      }
+      if (detected) {
+        ++out.patterns_found;
+        ++out.faults_detected;
+      } else {
+        ++out.faults_untestable;
       }
     }
   }
-  // Axioms on the reference (which the app's checksum equals by the
-  // MatchesReference tests).
-  for (int i = 0; i < n; ++i) {
-    EXPECT_EQ(ref[i][i], 0);
-    for (int j = 0; j < n; ++j) {
-      EXPECT_LE(ref[i][j], d[i][j]);  // never longer than the direct edge
-      for (int k = 0; k < n; ++k) {
-        EXPECT_LE(ref[i][j], ref[i][k] + ref[k][j]) << i << "," << j << "," << k;
+  return out;
+}
+
+TEST(AtpgKernel, BitParallelMatchesScalarFaultSimulation) {
+  for (std::uint64_t seed : {1ull, 2ull, 7ull, 42ull}) {
+    for (int vectors : {1, 12, 64, 65, 130}) {
+      for (int inputs : {1, 20, 70}) {
+        AtpgParams prm;
+        prm.gates = 120;
+        prm.primary_inputs = inputs;
+        prm.max_vectors_per_fault = vectors;
+        const AtpgOutcome want = scalar_atpg(prm, seed);
+        const AtpgOutcome got = atpg_reference(prm, seed);
+        const std::string what = "seed=" + std::to_string(seed) + " vectors=" +
+                                 std::to_string(vectors) + " inputs=" + std::to_string(inputs);
+        EXPECT_EQ(got.faults_detected, want.faults_detected) << what;
+        EXPECT_EQ(got.faults_untestable, want.faults_untestable) << what;
+        EXPECT_EQ(got.patterns_found, want.patterns_found) << what;
+        EXPECT_EQ(got.gate_evals, want.gate_evals) << what;
       }
     }
   }
-  // And the app agrees with this independent recomputation.
-  EXPECT_EQ(asp_reference_checksum(prm, 42), asp_reference_checksum(prm, 42));
 }
 
 // ---------------------------------------------------------------- TSP
+std::vector<int> tsp_distances(int n, std::uint64_t seed) {
+  sim::Rng rng(seed);
+  std::vector<int> dist(static_cast<std::size_t>(n) * n, 0);
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      int w = static_cast<int>(rng.uniform_int(10, 99));
+      dist[static_cast<std::size_t>(i) * n + j] = w;
+      dist[static_cast<std::size_t>(j) * n + i] = w;
+    }
+  }
+  return dist;
+}
+
 // Branch-and-bound with the greedy bound must find the true optimum
 // whenever the optimum is <= the greedy bound (always). Check against
 // exhaustive permutation search on a small instance.
@@ -82,16 +202,8 @@ TEST(TspKernel, FindsTrueOptimumOnSmallInstances) {
     TspOutcome got = tsp_reference(prm, seed);
 
     // Exhaustive oracle.
-    sim::Rng rng(seed);
     const int n = prm.cities;
-    std::vector<int> dist(static_cast<std::size_t>(n) * n, 0);
-    for (int i = 0; i < n; ++i) {
-      for (int j = i + 1; j < n; ++j) {
-        int w = static_cast<int>(rng.uniform_int(10, 99));
-        dist[static_cast<std::size_t>(i) * n + j] = w;
-        dist[static_cast<std::size_t>(j) * n + i] = w;
-      }
-    }
+    const std::vector<int> dist = tsp_distances(n, seed);
     std::vector<int> perm(static_cast<std::size_t>(n) - 1);
     std::iota(perm.begin(), perm.end(), 1);
     long long best = 1LL << 60;
@@ -106,6 +218,102 @@ TEST(TspKernel, FindsTrueOptimumOnSmallInstances) {
 
     EXPECT_EQ(got.best_tour, best) << "seed " << seed;
   }
+}
+
+// The kernel's bitmask search must expand exactly the nodes of the
+// plain path-vector branch-and-bound: every job prefix is one node, and
+// every child counts as a node even when the bound prunes it.
+struct PlainTsp {
+  int n;
+  std::vector<int> dist;
+  long long bound = 0;
+  long long best = std::numeric_limits<long long>::max();
+  long long nodes = 0;
+
+  int d(int a, int b) const { return dist[static_cast<std::size_t>(a) * n + b]; }
+
+  void greedy_bound() {
+    std::vector<char> used(static_cast<std::size_t>(n), 0);
+    used[0] = 1;
+    int cur = 0;
+    for (int step = 1; step < n; ++step) {
+      int next = -1;
+      for (int j = 0; j < n; ++j) {
+        if (!used[j] && (next < 0 || d(cur, j) < d(cur, next))) next = j;
+      }
+      used[static_cast<std::size_t>(next)] = 1;
+      bound += d(cur, next);
+      cur = next;
+    }
+    bound += d(cur, 0);
+  }
+
+  void dfs(std::vector<int>& path, std::vector<char>& used, long long length) {
+    ++nodes;
+    if (length >= bound) return;
+    if (static_cast<int>(path.size()) == n) {
+      const long long tour = length + d(path.back(), 0);
+      if (tour <= bound) best = std::min(best, tour);
+      return;
+    }
+    for (int c = 1; c < n; ++c) {
+      if (used[c]) continue;
+      used[c] = 1;
+      const int cur = path.back();
+      path.push_back(c);
+      dfs(path, used, length + d(cur, c));
+      path.pop_back();
+      used[c] = 0;
+    }
+  }
+
+  /// Extends the prefix without pruning until it is `depth` cities long,
+  /// then searches below it (one job per prefix).
+  void jobs(std::vector<int>& path, std::vector<char>& used, long long length, int depth) {
+    if (static_cast<int>(path.size()) == depth) {
+      dfs(path, used, length);
+      return;
+    }
+    for (int c = 1; c < n; ++c) {
+      if (used[c]) continue;
+      used[c] = 1;
+      const int cur = path.back();
+      path.push_back(c);
+      jobs(path, used, length + d(cur, c), depth);
+      path.pop_back();
+      used[c] = 0;
+    }
+  }
+};
+
+TEST(TspKernel, BitmaskSearchMatchesPlainSearch) {
+  for (std::uint64_t seed : {1ull, 2ull, 3ull, 42ull}) {
+    for (int cities = 8; cities <= 11; ++cities) {
+      for (int depth = 1; depth <= 4; ++depth) {
+        TspParams prm;
+        prm.cities = cities;
+        prm.job_depth = depth;
+        PlainTsp plain{cities, tsp_distances(cities, seed)};
+        plain.greedy_bound();
+        std::vector<int> path{0};
+        std::vector<char> used(static_cast<std::size_t>(cities), 0);
+        used[0] = 1;
+        plain.jobs(path, used, 0, depth);
+        const TspOutcome got = tsp_reference(prm, seed);
+        EXPECT_EQ(got.nodes_expanded, plain.nodes)
+            << "seed=" << seed << " cities=" << cities << " depth=" << depth;
+        EXPECT_EQ(got.best_tour, plain.best)
+            << "seed=" << seed << " cities=" << cities << " depth=" << depth;
+      }
+    }
+  }
+}
+
+TEST(TspKernel, RejectsMoreCitiesThanTheMaskHolds) {
+  TspParams prm;
+  prm.cities = kMaxTspCities + 1;
+  EXPECT_THROW(tsp_reference(prm, 1), std::invalid_argument);
+  EXPECT_THROW(run_tsp(cfg(1, 2), prm), std::invalid_argument);
 }
 
 // --------------------------------------------------------------- IDA*
