@@ -11,6 +11,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include <unistd.h>
+
 #include "net/traffic_stats.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -218,34 +220,55 @@ std::string ResultCache::key(const std::string& canonical_request) const {
   return buf;
 }
 
-const std::string* ResultCache::lookup_text(const std::string& key) {
-  // Host telemetry reads the wall clock around the lookup; the outcome
-  // and returned bytes are identical with telemetry on or off.
-  telemetry::Collector* tc = telemetry::Collector::active();
-  const std::int64_t t0 = tc ? telemetry::now_ns() : 0;
-  auto it = mem_.find(key);
-  if (it == mem_.end() && !dir_.empty()) {
-    std::ifstream is(dir_ + "/" + key + ".albres", std::ios::binary);
-    if (is) {
-      std::ostringstream text;
-      text << is.rdbuf();
-      it = mem_.emplace(key, text.str()).first;
-    }
+const std::string* ResultCache::find(const std::string& key, std::optional<apps::AppResult>* parsed) {
+  if (auto it = mem_.find(key); it != mem_.end()) return &it->second;
+  if (dir_.empty()) return nullptr;
+  const std::string path = dir_ + "/" + key + ".albres";
+  std::string text;
+  {
+    std::ifstream is(path, std::ios::binary);
+    if (!is) return nullptr;
+    std::ostringstream os;
+    os << is.rdbuf();
+    text = os.str();
   }
-  if (it == mem_.end()) {
-    ++stats_.misses;
-    if (tc) tc->record_cache(false, static_cast<std::uint64_t>(telemetry::now_ns() - t0));
+  // A disk entry is only promoted once it parses: a torn or foreign file
+  // is a miss, and removing it lets the re-simulated result replace it.
+  try {
+    *parsed = parse_result(text);
+  } catch (const std::runtime_error&) {
+    ++stats_.corrupt;
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
     return nullptr;
   }
-  ++stats_.hits;
-  if (tc) tc->record_cache(true, static_cast<std::uint64_t>(telemetry::now_ns() - t0));
-  return &it->second;
+  return &mem_.emplace(key, std::move(text)).first->second;
+}
+
+void ResultCache::count(bool hit, std::int64_t t0) {
+  ++(hit ? stats_.hits : stats_.misses);
+  if (telemetry::Collector* tc = telemetry::Collector::active()) {
+    tc->record_cache(hit, static_cast<std::uint64_t>(telemetry::now_ns() - t0));
+  }
+}
+
+// Host telemetry reads the wall clock around a lookup; the outcome and
+// the returned result are identical with telemetry on or off.
+const std::string* ResultCache::lookup_text(const std::string& key) {
+  const std::int64_t t0 = telemetry::Collector::active() ? telemetry::now_ns() : 0;
+  std::optional<apps::AppResult> parsed;
+  const std::string* text = find(key, &parsed);
+  count(text != nullptr, t0);
+  return text;
 }
 
 std::optional<apps::AppResult> ResultCache::lookup(const std::string& key) {
-  const std::string* text = lookup_text(key);
-  if (text == nullptr) return std::nullopt;
-  return parse_result(*text);
+  const std::int64_t t0 = telemetry::Collector::active() ? telemetry::now_ns() : 0;
+  std::optional<apps::AppResult> r;
+  const std::string* text = find(key, &r);
+  if (text != nullptr && !r) r = parse_result(*text);
+  count(r.has_value(), t0);
+  return r;
 }
 
 void ResultCache::store(const std::string& key, const apps::AppResult& r) {
@@ -253,8 +276,14 @@ void ResultCache::store(const std::string& key, const apps::AppResult& r) {
   if (!dir_.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(dir_, ec);  // best effort; write reports
-    std::ofstream os(dir_ + "/" + key + ".albres", std::ios::binary);
-    if (os) os << text;
+    // Write-then-rename: a reader never sees a half-written entry.
+    const std::string path = dir_ + "/" + key + ".albres";
+    const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+    std::ofstream os(tmp, std::ios::binary);
+    os << text;
+    os.close();
+    if (os) std::filesystem::rename(tmp, path, ec);
+    if (!os || ec) std::filesystem::remove(tmp, ec);
   }
   mem_[key] = std::move(text);
   ++stats_.stores;
@@ -264,6 +293,7 @@ void ResultCache::publish_metrics(trace::Metrics& m) const {
   *m.counter("campaign/cache.hits") = stats_.hits;
   *m.counter("campaign/cache.misses") = stats_.misses;
   *m.counter("campaign/cache.stores") = stats_.stores;
+  *m.counter("campaign/cache.corrupt") = stats_.corrupt;
 }
 
 }  // namespace alb::campaign

@@ -1,6 +1,6 @@
 // Content-addressed result cache tests: exact (de)serialization
 // round-trips, key stability/version sensitivity, hit-equals-miss
-// bit-identity, and disk persistence.
+// bit-identity, disk persistence, and recovery from a torn disk entry.
 
 #include "campaign/result_cache.hpp"
 
@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <string>
 
 #include "apps/app.hpp"
@@ -148,6 +149,46 @@ TEST(ResultCache, DiskPersistsAcrossInstances) {
   std::filesystem::remove_all(dir);
 }
 
+// A torn disk entry (the reproduced case: cut inside a traffic line)
+// is a counted miss, never a hit or a crash; its file is removed and the
+// next store writes a whole entry back.
+TEST(ResultCache, TornDiskEntryIsACountedMissAndIsRepaired) {
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() / "alb_cache_torn";
+  std::filesystem::remove_all(dir);
+  const apps::AppResult& r = small_tsp_result();
+  std::string key;
+  {
+    ResultCache writer(dir.string(), "v1");
+    key = writer.key("torn-req");
+    writer.store(key, r);
+  }
+  const std::filesystem::path entry = dir / (key + ".albres");
+  const std::string text = campaign::serialize_result(r);
+  const std::size_t cut = text.find("traffic.kind=") + std::string("traffic.kind=0 ").size();
+  std::filesystem::resize_file(entry, cut);
+
+  ResultCache reader(dir.string(), "v1");
+  EXPECT_FALSE(reader.lookup(key).has_value());
+  EXPECT_EQ(reader.stats().corrupt, 1u);
+  EXPECT_EQ(reader.stats().misses, 1u);
+  EXPECT_EQ(reader.stats().hits, 0u);
+  EXPECT_FALSE(std::filesystem::exists(entry));
+  EXPECT_FALSE(reader.lookup(key).has_value());  // not resurrected from memory
+  EXPECT_EQ(reader.stats().corrupt, 1u);
+
+  reader.store(key, r);
+  ResultCache again(dir.string(), "v1");
+  const auto hit = again.lookup(key);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(campaign::serialize_result(*hit), text);
+  EXPECT_EQ(again.stats().corrupt, 0u);
+  // The write-then-rename store leaves only the entry itself behind.
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                          std::filesystem::directory_iterator()),
+            1);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ResultCache, PublishesMetrics) {
   ResultCache cache("", "v1");
   (void)cache.lookup(cache.key("a"));
@@ -159,6 +200,7 @@ TEST(ResultCache, PublishesMetrics) {
   EXPECT_EQ(snap.value("campaign/cache.hits"), 1.0);
   EXPECT_EQ(snap.value("campaign/cache.misses"), 1.0);
   EXPECT_EQ(snap.value("campaign/cache.stores"), 1.0);
+  EXPECT_EQ(snap.value("campaign/cache.corrupt"), 0.0);
 }
 
 }  // namespace

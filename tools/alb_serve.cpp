@@ -338,6 +338,7 @@ int main(int argc, char** argv) {
   // meaninglessness). Percentiles are exact (sorted samples).
   std::cerr << "alb-serve: requests=" << request_lines << " expanded=" << units.size()
             << " hits=" << cs.hits << " misses=" << cs.misses << " stores=" << cs.stores
+            << " corrupt=" << cs.corrupt
             << " workers=" << stats.workers << " wall_s=" << fmt_g(wall) << " req_per_min="
             << fmt_g(wall > 0 ? static_cast<double>(units.size()) / wall * 60.0 : 0.0)
             << " hit_ms_p50=" << fmt_g(pct_ms(hit_ms, 50))
