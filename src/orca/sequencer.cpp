@@ -240,15 +240,22 @@ class SequencerBase : public Sequencer {
 //
 // Liveness: a parked token is stationary, and a kick is forwarded every
 // hop, so a kick finds a parked token within one revolution; a moving
-// token parks within one hop of serving its target. A kick that
-// returns to its own origin after the demand was already granted (the
-// moving token served it en route) dies there.
+// token parks within one hop of serving its target. Each kick carries
+// the generation its origin cluster stamped on it when it set
+// kick-in-flight, and at most one kick per cluster is current. A kick
+// back at its origin dies if its generation is stale, kick-in-flight is
+// clear, or the queue is empty: in each case the token already served
+// the demand that launched it (en route), and any demand queued since
+// is covered by the current kick. Without the stamp a superseded kick
+// that found the queue refilled would chase the token forever, one more
+// per grant under sustained write demand.
 //
 // Cluster-confined state: per-cluster pending queues, grant caches,
-// has-token and kick-in-flight flags (requests from cluster c's nodes
-// are always queued, and granted, in c's context — the token comes to
-// the requests, never the reverse). Handoff-owned state: the target
-// cluster travels with the token.
+// has-token and kick-in-flight flags, kick generations and protocol
+// counters (requests from cluster c's nodes are always queued, and
+// granted, in c's context — the token comes to the requests, never the
+// reverse; a kick reads only the slot of the cluster it is at). Handoff-
+// owned state: the target cluster travels with the token.
 // --------------------------------------------------------------------
 class RotatingSequencer final : public SequencerBase {
  public:
@@ -266,7 +273,7 @@ class RotatingSequencer final : public SequencerBase {
         if (m.bytes >= kTokenBytes) {
           on_token_arrival(c, net::payload_as<TokenMsg>(m).target);
         } else {
-          on_kick(c, net::payload_as<TokenKick>(m).requester);
+          on_kick(c, net::payload_as<TokenKick>(m));
         }
       });
     }
@@ -314,6 +321,16 @@ class RotatingSequencer final : public SequencerBase {
     s.pending.clear();
   }
 
+  ProtocolCounts protocol_counts() const override {
+    ProtocolCounts total;
+    for (const ClusterSlot& s : slots_) {
+      total.token_passes += s.token_passes;
+      total.kicks += s.kicks;
+      total.kicks_retired += s.kicks_retired;
+    }
+    return total;
+  }
+
  private:
   static constexpr std::size_t kTokenBytes = 32;
   static constexpr int kNoTarget = -1;
@@ -324,9 +341,11 @@ class RotatingSequencer final : public SequencerBase {
     int target;
   };
 
-  /// A wakeup chasing the parked token around the ring.
+  /// A wakeup chasing the parked token around the ring, stamped with
+  /// its origin's kick generation.
   struct TokenKick {
     net::ClusterId requester;
+    std::uint64_t gen;
   };
 
   struct alignas(64) ClusterSlot {
@@ -334,6 +353,11 @@ class RotatingSequencer final : public SequencerBase {
     GrantCache granted;
     bool has_token = false;      // token parked at this cluster
     bool kick_inflight = false;  // this cluster already woke the token
+    std::uint64_t kick_gen = 0;  // generation of this cluster's current kick
+    // Protocol counters, charged to the cluster whose context acts.
+    std::uint64_t token_passes = 0;   // token hops sent from here
+    std::uint64_t kicks = 0;          // kick hops sent from here
+    std::uint64_t kicks_retired = 0;  // this cluster's kicks that died here
   };
 
   net::NodeId seq_node(net::ClusterId c) const { return topo().compute_node(c, 0); }
@@ -358,24 +382,26 @@ class RotatingSequencer final : public SequencerBase {
       serve_and_move(c);
     } else if (!s.kick_inflight) {
       s.kick_inflight = true;
-      send_kick((c + 1) % topo().clusters(), c);
+      send_kick(c, TokenKick{c, ++s.kick_gen});
     }
     // If a kick is already out it will find the token; nothing to do.
   }
 
-  void on_kick(net::ClusterId at, net::ClusterId requester) {
+  void on_kick(net::ClusterId at, TokenKick kick) {
     ClusterSlot& s = slots_[static_cast<std::size_t>(at)];
     if (s.has_token) {
       // Found the parked token: relaunch it toward the requester. It
       // grants everything it passes on the way there.
-      token_target_ = static_cast<int>(requester);
+      token_target_ = static_cast<int>(kick.requester);
       serve_and_move(at);
       return;
     }
-    if (at == requester && s.pending.empty()) {
-      return;  // full circle and the demand is gone (granted en route): die
+    if (at == kick.requester &&
+        (kick.gen != s.kick_gen || !s.kick_inflight || s.pending.empty())) {
+      ++s.kicks_retired;  // full circle and its demand was served: die
+      return;
     }
-    send_kick((at + 1) % topo().clusters(), requester);  // keep chasing
+    send_kick(at, kick);  // keep chasing
   }
 
   void on_token_arrival(net::ClusterId c, int target) {
@@ -411,6 +437,7 @@ class RotatingSequencer final : public SequencerBase {
   }
 
   void pass_token(net::ClusterId from) {
+    ++slots_[static_cast<std::size_t>(from)].token_passes;
     net::ClusterId next = (from + 1) % topo().clusters();
     if (trace::Recorder* rec = eng().tracer()) {
       rec->instant(trace::Category::Orca, "orca.seq.token", seq_node(from),
@@ -426,10 +453,11 @@ class RotatingSequencer final : public SequencerBase {
     net().send(std::move(m));
   }
 
-  void send_kick(net::ClusterId to, net::ClusterId requester) {
-    send_control(seq_node((to + topo().clusters() - 1) % topo().clusters()), seq_node(to),
-                 kTagSeqToken, net::make_payload<TokenKick>(TokenKick{requester}),
-                 kControlBytes);
+  /// Forwards `kick` one step around the ring from cluster `from`.
+  void send_kick(net::ClusterId from, TokenKick kick) {
+    ++slots_[static_cast<std::size_t>(from)].kicks;
+    send_control(seq_node(from), seq_node((from + 1) % topo().clusters()), kTagSeqToken,
+                 net::make_payload<TokenKick>(kick), kControlBytes);
   }
 
   std::vector<ClusterSlot> slots_;

@@ -88,6 +88,16 @@ class Sequencer {
 
   /// Sequence numbers issued so far.
   virtual std::uint64_t issued() const = 0;
+
+  /// Rotating-sequencer control traffic (all zero for the others):
+  /// token hops, kick hops, and kicks that died back at their origin.
+  struct ProtocolCounts {
+    std::uint64_t token_passes = 0;
+    std::uint64_t kicks = 0;
+    std::uint64_t kicks_retired = 0;
+  };
+  /// Post-run accessor, summed over the per-cluster counters.
+  virtual ProtocolCounts protocol_counts() const { return {}; }
 };
 
 /// Factory. `seq_node` is the initial sequencer location (centralized /
