@@ -242,6 +242,37 @@ TEST(TraceGolden, Ra4ClusterOriginal) {
                 "RA original 4x15");
 }
 
+TEST(TraceGolden, Ra4ClusterOptimized) {
+  expect_golden(run_ra(cfg_das(4, 15, true), RaParams::bench_default()),
+                Golden{9287674384585120516ull, 324163ull, 366353351,
+                       13935634963118638907ull},
+                "RA optimized 4x15");
+}
+
+// The partitioned engine at the benchmark's partitioned geometry: one
+// partition per cluster, each on its own thread.
+TEST(TraceGolden, Ra4x16Partitioned) {
+  AppConfig c = cfg_das(4, 16, false);
+  c.partitions = 4;
+  c.threads = 4;
+  expect_golden(run_ra(c, RaParams::bench_default()),
+                Golden{7643089597814707805ull, 349340ull, 445031579,
+                       13935634963118638907ull},
+                "RA original 4x16, 4 partitions");
+}
+
+// node_batch = 1 sends every update as its own kTagUpdate message
+// instead of per-destination batches.
+TEST(TraceGolden, RaPerUpdateMessages) {
+  RaParams prm;
+  prm.stones = 6;
+  prm.node_batch = 1;
+  expect_golden(run_ra(cfg4(false), prm),
+                Golden{12881711397607229761ull, 98313ull, 204815861,
+                       12580739881790597950ull},
+                "RA original 4x2, unbatched updates");
+}
+
 // Pure-engine golden: a synthetic schedule with same-time ties, nested
 // scheduling and run_until boundaries. Isolates engine/event-queue
 // regressions from the full-stack scenarios above.
