@@ -12,6 +12,22 @@ namespace alb::apps {
 
 namespace {
 
+constexpr int abs_diff(int a, int b) { return a > b ? a - b : b - a; }
+
+// kDist[c][t]: Manhattan distance of tile t at cell c from its goal
+// cell t - 1; 0 for the blank (t = 0).
+constexpr auto kDist = [] {
+  std::array<std::array<std::int8_t, 16>, 16> d{};
+  for (int c = 0; c < 16; ++c) {
+    for (int t = 1; t < 16; ++t) {
+      const int goal = t - 1;
+      d[static_cast<std::size_t>(c)][static_cast<std::size_t>(t)] = static_cast<std::int8_t>(
+          abs_diff(c / 4, goal / 4) + abs_diff(c % 4, goal % 4));
+    }
+  }
+  return d;
+}();
+
 // 15-puzzle board: 16 nibbles, nibble c = tile at cell c, 0 = blank.
 struct Puzzle {
   std::uint64_t board;
@@ -50,10 +66,7 @@ struct Puzzle {
   int manhattan() const {
     int h = 0;
     for (int c = 0; c < 16; ++c) {
-      int t = tile(c);
-      if (t == 0) continue;
-      int goal = t - 1;
-      h += std::abs(c / 4 - goal / 4) + std::abs(c % 4 - goal % 4);
+      h += kDist[static_cast<std::size_t>(c)][static_cast<std::size_t>(tile(c))];
     }
     return h;
   }
@@ -114,9 +127,11 @@ struct DfsResult {
   long long nodes = 0;
 };
 
-void dfs(const Puzzle& p, int g, int last, int threshold, DfsResult* out) {
+/// `h` is p's Manhattan distance, kept incrementally: a move slides one
+/// tile from the blank's new cell into its old one, so only that tile's
+/// distance changes.
+void dfs(const Puzzle& p, int g, int h, int last, int threshold, DfsResult* out) {
   ++out->nodes;
-  const int h = p.manhattan();
   if (g + h > threshold) return;
   if (h == 0) {
     if (g == threshold) ++out->solutions;
@@ -125,14 +140,18 @@ void dfs(const Puzzle& p, int g, int last, int threshold, DfsResult* out) {
   for (int d = 0; d < 4; ++d) {
     if (!p.can_move(d)) continue;
     if (last >= 0 && d == opposite(last)) continue;
-    Puzzle q = p.moved(d);
-    dfs(q, g + 1, d, threshold, out);
+    const Puzzle q = p.moved(d);
+    const auto from = static_cast<std::size_t>(q.blank);
+    const auto to = static_cast<std::size_t>(p.blank);
+    const auto t = static_cast<std::size_t>(p.tile(q.blank));
+    dfs(q, g + 1, h - kDist[from][t] + kDist[to][t], d, threshold, out);
   }
 }
 
 DfsResult search_job(const Job& j, int threshold) {
   DfsResult r;
-  dfs(Puzzle{j.board, static_cast<int>(j.blank)}, j.g, j.last_move, threshold, &r);
+  const Puzzle p{j.board, static_cast<int>(j.blank)};
+  dfs(p, j.g, p.manhattan(), j.last_move, threshold, &r);
   return r;
 }
 
