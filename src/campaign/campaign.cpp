@@ -64,7 +64,7 @@ void publish_pool_metrics(const RunStats& stats, trace::Metrics& m) {
 namespace detail {
 
 void run_indexed(std::size_t n, const std::function<void(std::size_t)>& body,
-                 const Options& opts, RunStats* stats) {
+                 const Options& opts, RunStats* stats, const JobLabel& label) {
   const int workers = resolve_jobs(opts.jobs);
   std::vector<double> job_seconds(n, RunStats::kCancelled);
   std::vector<std::exception_ptr> failures(n);
@@ -94,6 +94,7 @@ void run_indexed(std::size_t n, const std::function<void(std::size_t)>& body,
       const auto j0 = Clock::now();
       {
         telemetry::ScopedSpan span("campaign.job", i);
+        if (tc && label) span.set_label(label(i));
         try {
           body(i);
         } catch (...) {

@@ -38,6 +38,7 @@
 #include <cstddef>
 #include <functional>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -96,12 +97,17 @@ struct RunStats {
 /// contract covers simulated values only.
 void publish_pool_metrics(const RunStats& stats, trace::Metrics& m);
 
+/// Names job i on its `campaign.job` host-telemetry span. Called only
+/// while a telemetry collector is active, so labels cost nothing when
+/// telemetry is off; the text never reaches a result.
+using JobLabel = std::function<std::string(std::size_t)>;
+
 namespace detail {
 /// Type-erased scheduler core: invokes body(i) for i in [0, n) across
 /// the pool, preserving the contract documented above. Rethrows the
 /// lowest-index job failure after the pool drains.
 void run_indexed(std::size_t n, const std::function<void(std::size_t)>& body,
-                 const Options& opts, RunStats* stats);
+                 const Options& opts, RunStats* stats, const JobLabel& label = {});
 }  // namespace detail
 
 /// Runs every task and returns the results in submission order,
@@ -109,11 +115,11 @@ void run_indexed(std::size_t n, const std::function<void(std::size_t)>& body,
 /// and determinism contract.
 template <typename R>
 std::vector<R> run(std::vector<std::function<R()>> tasks, const Options& opts = {},
-                   RunStats* stats = nullptr) {
+                   RunStats* stats = nullptr, const JobLabel& label = {}) {
   std::vector<std::optional<R>> slots(tasks.size());
   detail::run_indexed(
       tasks.size(), [&](std::size_t i) { slots[i].emplace(tasks[i]()); }, opts,
-      stats);
+      stats, label);
   std::vector<R> out;
   out.reserve(slots.size());
   for (auto& s : slots) out.push_back(std::move(*s));

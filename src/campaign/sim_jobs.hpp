@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -22,7 +23,21 @@ using SimRunner = std::function<apps::AppResult(const apps::AppConfig&)>;
 struct SimJob {
   SimRunner run;
   apps::AppConfig cfg;
+  /// Optional host-telemetry identity: the app's name and the job's
+  /// result-cache key. Only the `campaign.job` span label reads them.
+  std::string app = {};
+  std::string key = {};
 };
+
+/// The `campaign.job` span label of `j`: "<app> <orig|opt> <key>",
+/// leaving out whichever of app and key is empty.
+inline std::string job_label(const SimJob& j) {
+  std::string out = j.app;
+  if (!out.empty()) out += ' ';
+  out += j.cfg.optimized ? "opt" : "orig";
+  if (!j.key.empty()) out += ' ' + j.key;
+  return out;
+}
 
 /// Executes the whole job list on the campaign engine; results are in
 /// submission order (jobs[i] → result[i]) regardless of worker count.
@@ -55,7 +70,8 @@ inline std::vector<apps::AppResult> run_sim_jobs(const std::vector<SimJob>& jobs
       return j.run(j.cfg);
     });
   }
-  return run(std::move(tasks), opts, stats);
+  return run(std::move(tasks), opts, stats,
+             [&jobs](std::size_t i) { return job_label(jobs[i]); });
 }
 
 }  // namespace alb::campaign

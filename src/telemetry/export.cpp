@@ -62,7 +62,13 @@ void write_host_chrome_trace(const HostTrace& t, std::ostream& os) {
       trace::write_json_escaped(os, s.name ? s.name : "?");
       os << "\",\"cat\":\"host\",\"ph\":\"X\",\"pid\":0,\"tid\":" << i
          << ",\"ts\":" << fmt_us(s.t0_ns - origin) << ",\"dur\":" << fmt_us(s.t1_ns - s.t0_ns)
-         << ",\"args\":{\"arg\":" << s.arg << "}}";
+         << ",\"args\":{\"arg\":" << s.arg;
+      if (s.label[0] != '\0') {
+        os << ",\"label\":\"";
+        trace::write_json_escaped(os, s.label.data());
+        os << '"';
+      }
+      os << "}}";
     }
   }
   os << "\n],\n\"displayTimeUnit\":\"ms\",\n";

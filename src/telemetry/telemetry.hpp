@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -67,14 +68,20 @@ struct Config {
   std::string job_name = "alb";
 };
 
+/// Longest span label kept (bytes, NUL excluded); longer ones are cut.
+inline constexpr std::size_t kSpanLabelBytes = 47;
+
 /// One completed wall-clock span. `name` must point to static storage
 /// (string literals at call sites); `arg` is a caller-defined word
-/// (job index, unit count, ...) echoed into exports.
+/// (job index, unit count, ...) echoed into exports; `label` is an
+/// optional NUL-terminated free-form text ("" = none), e.g. a campaign
+/// job's "RA opt <cache key>".
 struct Span {
   const char* name = nullptr;
   std::int64_t t0_ns = 0;
   std::int64_t t1_ns = 0;
   std::uint64_t arg = 0;
+  std::array<char, kSpanLabelBytes + 1> label{};
 };
 
 /// Per-thread accumulator counters (nanoseconds and counts) for events
@@ -100,13 +107,20 @@ class ThreadRing {
 
   /// Records a completed span, or counts a drop when the ring is full.
   /// Never blocks, never allocates.
-  void push(const char* name, std::int64_t t0_ns, std::int64_t t1_ns, std::uint64_t arg) {
+  void push(const char* name, std::int64_t t0_ns, std::int64_t t1_ns, std::uint64_t arg,
+            std::string_view label = {}) {
     const std::size_t i = count_.load(std::memory_order_relaxed);
     if (i >= buf_.size()) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    buf_[i] = Span{name, t0_ns, t1_ns, arg};
+    Span& s = buf_[i];
+    s.name = name;
+    s.t0_ns = t0_ns;
+    s.t1_ns = t1_ns;
+    s.arg = arg;
+    const std::size_t n = label.copy(s.label.data(), kSpanLabelBytes);
+    s.label[n] = '\0';
     count_.store(i + 1, std::memory_order_release);
   }
 
@@ -256,7 +270,7 @@ class Collector {
 };
 
 /// RAII wall-clock span. Captures the active collector at construction;
-/// zero work (two pointer-sized writes) when telemetry is off.
+/// no clock read and no allocation when telemetry is off.
 class ScopedSpan {
  public:
   explicit ScopedSpan(const char* name, std::uint64_t arg = 0) {
@@ -268,10 +282,13 @@ class ScopedSpan {
     }
   }
   ~ScopedSpan() {
-    if (ring_) ring_->push(name_, t0_ns_, now_ns(), arg_);
+    if (ring_) ring_->push(name_, t0_ns_, now_ns(), arg_, label_);
   }
   /// Updates the exported arg word (for counts known only mid-span).
   void set_arg(std::uint64_t arg) { arg_ = arg; }
+  /// Sets the exported label. Callers build it only while a collector
+  /// is active; the ring keeps its first kSpanLabelBytes bytes.
+  void set_label(std::string label) { label_ = std::move(label); }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
@@ -280,6 +297,7 @@ class ScopedSpan {
   const char* name_ = nullptr;
   std::int64_t t0_ns_ = 0;
   std::uint64_t arg_ = 0;
+  std::string label_;
 };
 
 }  // namespace alb::telemetry

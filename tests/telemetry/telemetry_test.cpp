@@ -6,13 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "campaign/sim_jobs.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/options.hpp"
@@ -93,6 +96,62 @@ TEST(ScopedSpanTest, RecordsNameArgAndForwardTime) {
   EXPECT_STREQ(s.name, "test.span");
   EXPECT_EQ(s.arg, 42u);
   EXPECT_GE(s.t1_ns, s.t0_ns);
+}
+
+TEST(ThreadRingTest, LongLabelsAreCutNeverOverrun) {
+  ThreadRing ring(2);
+  const std::string longer(kSpanLabelBytes + 20, 'x');
+  ring.push("span", 0, 1, 0, longer);
+  ring.push("span", 1, 2, 0);
+  const std::vector<Span> spans = ring.spans();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(std::string(spans[0].label.data()), longer.substr(0, kSpanLabelBytes));
+  EXPECT_EQ(spans[1].label[0], '\0');
+}
+
+// campaign.job spans name their job: app, variant and result-cache key,
+// leaving out the parts a job does not carry. Labels reach only the
+// telemetry sinks, and nothing builds them while telemetry is off.
+TEST(CampaignJobSpanTest, LabelsCarryAppVariantAndCacheKey) {
+  const campaign::SimRunner runner = [](const apps::AppConfig&) { return apps::AppResult{}; };
+  apps::AppConfig orig;
+  apps::AppConfig opt;
+  opt.optimized = true;
+  const std::vector<campaign::SimJob> jobs = {
+      {runner, orig, "RA", "0123456789abcdef"},
+      {runner, opt, "TSP", ""},
+      {runner, opt},
+  };
+
+  std::atomic<int> built{0};
+  const campaign::JobLabel counting = [&built](std::size_t) {
+    ++built;
+    return std::string("job");
+  };
+  ASSERT_EQ(Collector::active(), nullptr);
+  campaign::run<int>({[] { return 1; }, [] { return 2; }}, {2}, nullptr, counting);
+  EXPECT_EQ(built.load(), 0) << "a label was built with telemetry off";
+
+  Collector::enable({});
+  CollectorGuard guard;
+  Collector* tc = Collector::active();
+  ASSERT_NE(tc, nullptr);
+  campaign::run_sim_jobs(jobs, {2});
+  const HostTrace t = tc->harvest();
+  std::map<std::uint64_t, std::string> labels;  // job index -> label
+  for (const HostThread& th : t.threads) {
+    for (const Span& s : th.spans) {
+      if (std::string(s.name) == "campaign.job") labels[s.arg] = s.label.data();
+    }
+  }
+  const std::map<std::uint64_t, std::string> want = {
+      {0, "RA orig 0123456789abcdef"}, {1, "TSP opt"}, {2, "opt"}};
+  EXPECT_EQ(labels, want);
+
+  std::ostringstream os;
+  write_host_chrome_trace(t, os);
+  EXPECT_NE(os.str().find("\"label\":\"RA orig 0123456789abcdef\""), std::string::npos);
+  expect_balanced_json(os.str(), "labelled trace");
 }
 
 TEST(AtomicHistTest, SnapshotMatchesTraceHistogram) {

@@ -9,7 +9,8 @@
 #   build-release/  -O3 NDEBUG, the configuration benchmarks run in
 #   build-tsan/     ALB_SANITIZE=thread; runs test_campaign, the suite
 #                   that exercises the worker pool and the logger from
-#                   concurrent threads
+#                   concurrent threads, the partitioned-engine tests and
+#                   RA's shared smaller-database memo
 #
 # All trees are configured out-of-source and are .gitignore'd.
 
@@ -38,10 +39,13 @@ echo "=== configure + build: TSan (campaign + partitioned engine) ==="
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DALB_SANITIZE=thread > /dev/null
-cmake --build build-tsan --target test_campaign test_sim test_partition -j "$JOBS"
+cmake --build build-tsan --target test_campaign test_sim test_partition test_kernels -j "$JOBS"
 
 echo "=== TSan: campaign tests ==="
 ./build-tsan/tests/test_campaign
+
+echo "=== TSan: RA's process-wide smaller-database memo, built cold by 4 threads ==="
+./build-tsan/tests/test_kernels --gtest_filter='RaKernel.ConcurrentRunsShareOneMemo'
 
 echo "=== TSan: partitioned-engine tests (epoch barrier + mailboxes) ==="
 ./build-tsan/tests/test_sim --gtest_filter='Partition.*'
@@ -370,6 +374,10 @@ assert "serve-main" in names, f"missing serve-main track: {names}"
 assert any(n.startswith("campaign-worker-") for n in names), f"no worker tracks: {names}"
 assert {"serve.parse", "serve.resolve", "serve.simulate", "serve.output",
         "campaign.job"} <= spans, f"missing documented spans: {spans}"
+unlabelled = [e for e in serve["traceEvents"]
+              if e["ph"] == "X" and e["name"] == "campaign.job"
+              and len(e["args"].get("label", "").split()) != 3]
+assert not unlabelled, f"campaign.job spans without <app> <variant> <key>: {unlabelled[:3]}"
 print(f"telemetry artifacts OK: {len(names)} serve tracks, {len(spans)} span kinds")
 EOF
 
