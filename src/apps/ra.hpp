@@ -16,8 +16,8 @@
 // value becomes known, update messages flow to the owners of its
 // predecessors — many small asynchronous messages to unpredictable
 // destinations, the paper's RA pattern. Smaller databases (k' < k) are
-// precomputed sequentially at setup, as the paper's program had them on
-// disk.
+// solved sequentially and memoized once per process, as the paper's
+// program had them on disk.
 //
 // Original: updates are batched per *destination node* (the message
 // combining the paper's baseline RA already performed).
