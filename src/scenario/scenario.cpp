@@ -123,7 +123,8 @@ std::string canonical_request(const std::string& app, const apps::AppConfig& cfg
   if (!f.force_drop.empty()) {
     out += "faults.force_drop=";
     for (std::size_t i = 0; i < f.force_drop.size(); ++i) {
-      out += (i ? " " : "") + std::to_string(f.force_drop[i]);
+      if (i) out += ' ';
+      out += std::to_string(f.force_drop[i]);
     }
     out += "\nfaults.force_drop_from=" + std::to_string(f.force_drop_from) + "\n";
   }

@@ -1,6 +1,7 @@
-// Content-addressed result cache tests: exact (de)serialization
-// round-trips, key stability/version sensitivity, hit-equals-miss
-// bit-identity, disk persistence, and recovery from a torn disk entry.
+// Content-addressed result cache tests: the stored record is the line
+// alb-serve prints, key stability/version sensitivity, hits return the
+// stored bytes, disk persistence, and the integrity check that turns a
+// torn, altered, outdated or misplaced disk entry into a counted miss.
 
 #include "campaign/result_cache.hpp"
 
@@ -8,11 +9,14 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 
 #include "apps/app.hpp"
 #include "scenario/scenario.hpp"
+#include "sim/time.hpp"
 
 namespace alb {
 namespace {
@@ -36,63 +40,32 @@ const apps::AppResult& small_tsp_result() {
   return r;
 }
 
-TEST(ResultCacheSerialization, RoundTripsARealRunExactly) {
+/// Reference rendering of alb-serve's output-line tail for `r`: each
+/// field by stream insertion, elapsed in seconds at %.9g.
+std::string serve_line_tail(const apps::AppResult& r) {
+  char elapsed[64];
+  std::snprintf(elapsed, sizeof elapsed, "%.9g", sim::to_seconds(r.elapsed));
+  std::ostringstream os;
+  os << "elapsed_s=" << elapsed << " checksum=" << r.checksum << " trace_hash=" << r.trace_hash
+     << " events=" << r.events
+     << " status=" << (r.status == apps::AppResult::RunStatus::Ok ? "ok" : "hard_failure");
+  return os.str();
+}
+
+TEST(ResultFields, MatchesTheServeLineOfARealRun) {
   const apps::AppResult& r = small_tsp_result();
   ASSERT_GT(r.events, 0u);
-  const std::string text = campaign::serialize_result(r);
-  const apps::AppResult back = campaign::parse_result(text);
-  EXPECT_EQ(back.elapsed, r.elapsed);
-  EXPECT_EQ(back.checksum, r.checksum);
-  EXPECT_EQ(back.trace_hash, r.trace_hash);
-  EXPECT_EQ(back.events, r.events);
-  EXPECT_EQ(static_cast<int>(back.status), static_cast<int>(r.status));
-  EXPECT_EQ(back.error, r.error);
-  // Traffic counters, per kind and combined.
-  for (int k = 0; k < net::TrafficStats::kNumKinds; ++k) {
-    const auto& a = r.traffic.kind_at(k);
-    const auto& b = back.traffic.kind_at(k);
-    EXPECT_EQ(a.intra_msgs, b.intra_msgs) << k;
-    EXPECT_EQ(a.intra_bytes, b.intra_bytes) << k;
-    EXPECT_EQ(a.inter_msgs, b.inter_msgs) << k;
-    EXPECT_EQ(a.inter_bytes, b.inter_bytes) << k;
-    EXPECT_EQ(a.inter_logical_msgs, b.inter_logical_msgs) << k;
-    EXPECT_EQ(a.inter_logical_bytes, b.inter_logical_bytes) << k;
-  }
-  EXPECT_EQ(back.traffic.combined().flushes, r.traffic.combined().flushes);
-  // App metrics (doubles must round-trip bit-exactly via %.17g).
-  EXPECT_EQ(back.metrics, r.metrics);
-  // Full metrics registry snapshot.
-  EXPECT_EQ(back.stats.counters, r.stats.counters);
-  EXPECT_EQ(back.stats.gauges, r.stats.gauges);
-  ASSERT_EQ(back.stats.histograms.size(), r.stats.histograms.size());
-  for (const auto& [name, h] : r.stats.histograms) {
-    const auto it = back.stats.histograms.find(name);
-    ASSERT_NE(it, back.stats.histograms.end()) << name;
-    EXPECT_EQ(it->second.count, h.count) << name;
-    EXPECT_EQ(it->second.sum, h.sum) << name;
-    EXPECT_EQ(it->second.min, h.min) << name;
-    EXPECT_EQ(it->second.max, h.max) << name;
-    EXPECT_EQ(it->second.buckets, h.buckets) << name;
-  }
-  // Serialization of the parsed value is the same bytes: a fixed point.
-  EXPECT_EQ(campaign::serialize_result(back), text);
+  ASSERT_EQ(static_cast<int>(r.status), static_cast<int>(apps::AppResult::RunStatus::Ok));
+  EXPECT_EQ(campaign::result_fields(r), serve_line_tail(r));
 }
 
-TEST(ResultCacheSerialization, HardFailureStatusRoundTrips) {
+TEST(ResultFields, MatchesTheServeLineOfAHardFailure) {
   apps::AppResult r = small_tsp_result();
   r.status = apps::AppResult::RunStatus::HardFailure;
-  r.error = "rpc to cluster 1 exhausted 12 attempts";  // spaces survive
-  const apps::AppResult back = campaign::parse_result(campaign::serialize_result(r));
-  EXPECT_EQ(static_cast<int>(back.status),
-            static_cast<int>(apps::AppResult::RunStatus::HardFailure));
-  EXPECT_EQ(back.error, r.error);
-}
-
-TEST(ResultCacheSerialization, MalformedTextThrows) {
-  EXPECT_THROW((void)campaign::parse_result(""), std::runtime_error);
-  EXPECT_THROW((void)campaign::parse_result("albres 2\n"), std::runtime_error);
-  EXPECT_THROW((void)campaign::parse_result("albres 1\nelapsed=abc\n"),
-               std::runtime_error);
+  r.error = "rpc to cluster 1 exhausted 12 attempts";  // not part of the record
+  const std::string fields = campaign::result_fields(r);
+  EXPECT_EQ(fields, serve_line_tail(r));
+  EXPECT_TRUE(fields.ends_with(" status=hard_failure"));
 }
 
 TEST(ResultCacheKey, StableAndSensitive) {
@@ -129,29 +102,27 @@ TEST(ResultCache, EntryFromAnotherFingerprintIsACountedMiss) {
     writer.store(writer.key("fp-req"), small_tsp_result());
   }
   ResultCache reader(dir.string(), "v1");
-  EXPECT_FALSE(reader.lookup(reader.key("fp-req")).has_value());
+  EXPECT_EQ(reader.lookup(reader.key("fp-req")), nullptr);
   EXPECT_EQ(reader.stats().misses, 1u);
   EXPECT_EQ(reader.stats().hits, 0u);
   ResultCache same(dir.string(), "v1", other);
-  EXPECT_TRUE(same.lookup(same.key("fp-req")).has_value());
+  EXPECT_NE(same.lookup(same.key("fp-req")), nullptr);
   std::filesystem::remove_all(dir);
 }
 
 TEST(ResultCache, HitReturnsTheStoredBytes) {
   ResultCache cache("", "v1");
   const std::string key = cache.key("req");
-  EXPECT_FALSE(cache.lookup(key).has_value());
+  EXPECT_EQ(cache.lookup(key), nullptr);
   EXPECT_EQ(cache.stats().misses, 1u);
   const apps::AppResult& r = small_tsp_result();
-  cache.store(key, r);
+  const std::string& stored = cache.store(key, r);
+  EXPECT_EQ(stored, campaign::result_fields(r));
   EXPECT_EQ(cache.stats().stores, 1u);
-  const std::string* text = cache.lookup_text(key);
-  ASSERT_NE(text, nullptr);
-  EXPECT_EQ(*text, campaign::serialize_result(r));
-  const auto hit = cache.lookup(key);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->trace_hash, r.trace_hash);
-  EXPECT_EQ(hit->elapsed, r.elapsed);
+  const std::string* hit = cache.lookup(key);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit, &stored);  // the stored record itself, not a copy
+  EXPECT_EQ(cache.lookup(key), hit);
   EXPECT_EQ(cache.stats().hits, 2u);
 }
 
@@ -167,61 +138,129 @@ TEST(ResultCache, DiskPersistsAcrossInstances) {
     writer.store(key, r);
   }
   ResultCache reader(dir, "v1");
-  const auto hit = reader.lookup(key);
-  ASSERT_TRUE(hit.has_value());
+  const std::string* hit = reader.lookup(key);
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(reader.stats().hits, 1u);
   EXPECT_EQ(reader.stats().misses, 0u);
-  EXPECT_EQ(hit->trace_hash, r.trace_hash);
-  EXPECT_EQ(hit->checksum, r.checksum);
-  EXPECT_EQ(campaign::serialize_result(*hit), campaign::serialize_result(r));
+  EXPECT_EQ(reader.stats().corrupt, 0u);
+  EXPECT_EQ(*hit, campaign::result_fields(r));
   std::filesystem::remove_all(dir);
 }
 
-// A torn disk entry (the reproduced case: cut inside a traffic line)
-// is a counted miss, never a hit or a crash; its file is removed and the
-// next store writes a whole entry back.
-TEST(ResultCache, TornDiskEntryIsACountedMissAndIsRepaired) {
-  const std::filesystem::path dir = std::filesystem::temp_directory_path() / "alb_cache_torn";
-  std::filesystem::remove_all(dir);
-  const apps::AppResult& r = small_tsp_result();
+/// One entry stored on disk under `req`, in a fresh directory.
+struct StoredEntry {
+  std::filesystem::path dir;
   std::string key;
-  {
-    ResultCache writer(dir.string(), "v1");
-    key = writer.key("torn-req");
-    writer.store(key, r);
-  }
-  const std::filesystem::path entry = dir / (key + ".albres");
-  const std::string text = campaign::serialize_result(r);
-  const std::size_t cut = text.find("traffic.kind=") + std::string("traffic.kind=0 ").size();
-  std::filesystem::resize_file(entry, cut);
+  std::filesystem::path file;
 
-  ResultCache reader(dir.string(), "v1");
-  EXPECT_FALSE(reader.lookup(key).has_value());
+  StoredEntry(const char* dir_name, const std::string& req)
+      : dir(std::filesystem::temp_directory_path() / dir_name) {
+    std::filesystem::remove_all(dir);
+    ResultCache writer(dir.string(), "v1");
+    key = writer.key(req);
+    writer.store(key, small_tsp_result());
+    file = dir / (key + ".albres");
+  }
+  ~StoredEntry() { std::filesystem::remove_all(dir); }
+
+  std::string text() const {
+    std::ifstream is(file, std::ios::binary);
+    std::ostringstream os;
+    os << is.rdbuf();
+    return os.str();
+  }
+  void write(const std::string& text) const { std::ofstream(file, std::ios::binary) << text; }
+};
+
+/// A fresh reader counts the entry as a corrupt miss and removes its file.
+void expect_corrupt_miss(const StoredEntry& e) {
+  ResultCache reader(e.dir.string(), "v1");
+  EXPECT_FALSE(reader.lookup(e.key));
   EXPECT_EQ(reader.stats().corrupt, 1u);
   EXPECT_EQ(reader.stats().misses, 1u);
   EXPECT_EQ(reader.stats().hits, 0u);
-  EXPECT_FALSE(std::filesystem::exists(entry));
-  EXPECT_FALSE(reader.lookup(key).has_value());  // not resurrected from memory
+  EXPECT_FALSE(std::filesystem::exists(e.file));
+}
+
+// A torn disk entry (cut inside the record) is a counted miss, never a
+// hit or a crash; its file is removed and the next store writes a whole
+// entry back.
+TEST(ResultCache, TornDiskEntryIsACountedMissAndIsRepaired) {
+  const StoredEntry e("alb_cache_torn", "torn-req");
+  const std::string text = e.text();
+  std::filesystem::resize_file(e.file, text.find(" trace_hash="));
+
+  ResultCache reader(e.dir.string(), "v1");
+  EXPECT_EQ(reader.lookup(e.key), nullptr);
+  EXPECT_EQ(reader.stats().corrupt, 1u);
+  EXPECT_EQ(reader.stats().misses, 1u);
+  EXPECT_EQ(reader.stats().hits, 0u);
+  EXPECT_FALSE(std::filesystem::exists(e.file));
+  EXPECT_EQ(reader.lookup(e.key), nullptr);  // not resurrected from memory
   EXPECT_EQ(reader.stats().corrupt, 1u);
 
-  reader.store(key, r);
-  ResultCache again(dir.string(), "v1");
-  const auto hit = again.lookup(key);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(campaign::serialize_result(*hit), text);
+  reader.store(e.key, small_tsp_result());
+  EXPECT_EQ(e.text(), text);
+  ResultCache again(e.dir.string(), "v1");
+  const std::string* hit = again.lookup(e.key);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(*hit, campaign::result_fields(small_tsp_result()));
   EXPECT_EQ(again.stats().corrupt, 0u);
   // The write-then-rename store leaves only the entry itself behind.
-  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(e.dir),
                           std::filesystem::directory_iterator()),
             1);
-  std::filesystem::remove_all(dir);
+}
+
+// Cut right after the first line: every remaining line is whole, so no
+// parse of the lines could tell the entry was cut.
+TEST(ResultCache, EntryCutAtALineBoundaryIsCorrupt) {
+  const StoredEntry e("alb_cache_cut_line", "cut-line-req");
+  const std::string text = e.text();
+  e.write(text.substr(0, text.find('\n') + 1));
+  expect_corrupt_miss(e);
+}
+
+// One digit of the record changed to another: same length, still well
+// formed, and a different answer.
+TEST(ResultCache, EntryWithAFlippedDigitIsCorrupt) {
+  const StoredEntry e("alb_cache_flip", "flip-req");
+  std::string text = e.text();
+  const std::size_t at = text.find_first_of("0123456789", text.find('\n') + 1);
+  ASSERT_NE(at, std::string::npos);
+  text[at] = text[at] == '9' ? '1' : static_cast<char>(text[at] + 1);
+  e.write(text);
+  expect_corrupt_miss(e);
+}
+
+// A whole, valid entry under the wrong file name answers another request.
+TEST(ResultCache, EntryCopiedUnderAnotherKeyIsCorrupt) {
+  const StoredEntry e("alb_cache_copied", "copied-req");
+  {
+    apps::AppResult other = small_tsp_result();
+    other.events += 1;
+    ResultCache writer(e.dir.string(), "v1");
+    const std::string other_key = writer.key("other-req");
+    writer.store(other_key, other);
+    std::filesystem::copy_file(e.dir / (other_key + ".albres"), e.file,
+                               std::filesystem::copy_options::overwrite_existing);
+  }
+  expect_corrupt_miss(e);
+}
+
+// An entry in the previous whole-result format, left behind by a build
+// that kept its configure-time version, is re-simulated, not served.
+TEST(ResultCache, FormatOneEntryIsCorrupt) {
+  const StoredEntry e("alb_cache_format1", "format1-req");
+  e.write("albres 1\nelapsed=1000\nstatus=ok\nchecksum=7\ntrace_hash=9\nevents=3\n");
+  expect_corrupt_miss(e);
 }
 
 TEST(ResultCache, PublishesMetrics) {
   ResultCache cache("", "v1");
-  (void)cache.lookup(cache.key("a"));
+  EXPECT_EQ(cache.lookup(cache.key("a")), nullptr);
   cache.store(cache.key("a"), small_tsp_result());
-  (void)cache.lookup(cache.key("a"));
+  EXPECT_NE(cache.lookup(cache.key("a")), nullptr);
   trace::Metrics m;
   cache.publish_metrics(m);
   const trace::MetricsSnapshot snap = m.snapshot();

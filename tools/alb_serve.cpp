@@ -26,9 +26,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -54,9 +54,8 @@ struct Unit {
   std::string label;     ///< run label within the scenario
   std::string app;       ///< resolved app registry name
   std::string key;       ///< cache key of the canonical request
-  apps::AppConfig cfg;
-  bool resolved = false;
-  apps::AppResult result;
+  /// The output line's tail: the record the cache holds for `key`.
+  const std::string* fields = nullptr;
 };
 
 [[noreturn]] void fail_request(int line_no, const std::string& msg) {
@@ -80,8 +79,8 @@ bool parse_onoff(int line_no, const std::string& k, const std::string& v) {
   fail_request(line_no, k + ": expected 0/1/true/false/on/off, got '" + v + "'");
 }
 
-/// Applies one `key=value` override token to a unit.
-void apply_override(Unit* u, int line_no, const std::string& tok) {
+/// Applies one `key=value` override token to a unit and its config.
+void apply_override(Unit* u, apps::AppConfig* cfg, int line_no, const std::string& tok) {
   const std::size_t eq = tok.find('=');
   if (eq == std::string::npos) {
     fail_request(line_no, "override '" + tok + "' is not key=value");
@@ -91,35 +90,35 @@ void apply_override(Unit* u, int line_no, const std::string& tok) {
   if (k == "app") {
     u->app = v;
   } else if (k == "opt") {
-    u->cfg.optimized = parse_onoff(line_no, k, v);
+    cfg->optimized = parse_onoff(line_no, k, v);
   } else if (k == "adapt") {
-    u->cfg.adapt = parse_onoff(line_no, k, v);
+    cfg->adapt = parse_onoff(line_no, k, v);
   } else if (k == "seed") {
     const long long s = parse_ll(line_no, k, v);
     if (s < 0) fail_request(line_no, "seed must be >= 0 (got " + v + ")");
-    u->cfg.seed = static_cast<std::uint64_t>(s);
+    cfg->seed = static_cast<std::uint64_t>(s);
   } else if (k == "clusters") {
     const long long c = parse_ll(line_no, k, v);
     if (c < 1 || c > 1024) fail_request(line_no, "clusters must be in [1, 1024] (got " + v + ")");
-    u->cfg.clusters = static_cast<int>(c);
+    cfg->clusters = static_cast<int>(c);
   } else if (k == "per") {
     const long long p = parse_ll(line_no, k, v);
     if (p < 1 || p > 4096) fail_request(line_no, "per must be in [1, 4096] (got " + v + ")");
-    u->cfg.procs_per_cluster = static_cast<int>(p);
+    cfg->procs_per_cluster = static_cast<int>(p);
   } else if (k == "coll") {
-    if (v == "flat") u->cfg.coll = orca::coll::Mode::Flat;
-    else if (v == "tree") u->cfg.coll = orca::coll::Mode::Tree;
+    if (v == "flat") cfg->coll = orca::coll::Mode::Flat;
+    else if (v == "tree") cfg->coll = orca::coll::Mode::Tree;
     else fail_request(line_no, "coll must be 'flat' or 'tree' (got '" + v + "')");
   } else if (k == "wan_streams") {
     const long long s = parse_ll(line_no, k, v);
     if (s < 1 || s > 64) fail_request(line_no, "wan_streams must be in [1, 64] (got " + v + ")");
-    u->cfg.wan_streams = static_cast<int>(s);
+    cfg->wan_streams = static_cast<int>(s);
   } else if (k == "combine_bytes") {
     const long long b = parse_ll(line_no, k, v);
     if (b < -1 || b > (1ll << 30)) {
       fail_request(line_no, "combine_bytes must be in [-1, 2^30] (got " + v + ")");
     }
-    u->cfg.combine_bytes = b;
+    cfg->combine_bytes = b;
   } else {
     fail_request(line_no,
                  "unknown override '" + k +
@@ -132,14 +131,6 @@ const apps::AppEntry* find_app(const std::string& name) {
     if (e.name == name) return &e;
   }
   return nullptr;
-}
-
-/// Formats a double the same way the result serialization does, so the
-/// output line is a pure function of the stored result.
-std::string fmt_g(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
 }
 
 /// Exact p-th percentile of `v` (sorted in place); 0 when empty.
@@ -209,6 +200,10 @@ int main(int argc, char** argv) {
   } telemetry_guard;
 
   std::vector<Unit> units;
+  // One config per distinct key: a replayed request mix repeats a
+  // handful of configs thousands of times. A missed key's config moves
+  // into its SimJob.
+  std::map<std::string, apps::AppConfig> configs;
   campaign::ResultCache cache(opts.get("cache-dir"));
   const auto t0 = std::chrono::steady_clock::now();
   std::size_t request_lines = 0;
@@ -243,12 +238,13 @@ int main(int argc, char** argv) {
         u.scenario = sc.name;
         u.label = plan.label;
         u.app = plan.app.empty() ? opts.get("app") : plan.app;
-        u.cfg = plan.cfg;
-        for (const std::string& t : overrides) apply_override(&u, line_no, t);
+        apps::AppConfig cfg = plan.cfg;
+        for (const std::string& t : overrides) apply_override(&u, &cfg, line_no, t);
         if (find_app(u.app) == nullptr) {
           fail_request(line_no, "unknown app '" + u.app + "'");
         }
-        u.key = cache.key(scenario::canonical_request(u.app, u.cfg));
+        u.key = cache.key(scenario::canonical_request(u.app, cfg));
+        configs.try_emplace(u.key, std::move(cfg));
         units.push_back(std::move(u));
       }
     }
@@ -268,17 +264,15 @@ int main(int argc, char** argv) {
     telemetry::ScopedSpan resolve_span("serve.resolve", units.size());
     for (Unit& u : units) {
       const auto l0 = std::chrono::steady_clock::now();
-      std::optional<apps::AppResult> hit = cache.lookup(u.key);
+      u.fields = cache.lookup(u.key);
       const double ms =
           std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - l0)
               .count();
-      if (hit) {
+      if (u.fields) {
         hit_ms.push_back(ms);
-        u.result = std::move(*hit);
-        u.resolved = true;
-      } else if (scheduled.find(u.key) == scheduled.end()) {
-        scheduled.emplace(u.key, jobs.size());
-        jobs.push_back(campaign::SimJob{find_app(u.app)->run, u.cfg, u.app, u.key});
+      } else if (scheduled.emplace(u.key, jobs.size()).second) {
+        jobs.push_back(
+            campaign::SimJob{find_app(u.app)->run, std::move(configs.at(u.key)), u.app, u.key});
       }
     }
   }
@@ -298,33 +292,30 @@ int main(int argc, char** argv) {
   // time (the queueing-free approximation: lookup cost is separate and
   // negligible next to a simulate).
   std::vector<double> miss_ms;
+  std::vector<const std::string*> stored;
   {
     telemetry::ScopedSpan store_span("serve.store", fresh.size());
-    for (std::size_t i = 0; i < fresh.size(); ++i) cache.store(jobs[i].key, fresh[i]);
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      stored.push_back(&cache.store(jobs[i].key, fresh[i]));
+    }
   }
   for (Unit& u : units) {
-    if (!u.resolved) {
+    if (!u.fields) {
       const std::size_t j = scheduled.at(u.key);
-      u.result = fresh[j];
-      u.resolved = true;
+      u.fields = stored[j];
       if (j < stats.job_seconds.size() && stats.job_seconds[j] >= 0) {
         miss_ms.push_back(stats.job_seconds[j] * 1e3);
       }
     }
   }
 
-  // One line per unit, simulated values only — a hit emits the same
-  // bytes a fresh simulation would (the cache round-trips exactly).
+  // One line per unit, simulated values only — a hit emits the bytes
+  // the cache stored for a fresh simulation.
   {
     telemetry::ScopedSpan out_span("serve.output", units.size());
     for (const Unit& u : units) {
-      const apps::AppResult& r = u.result;
       std::cout << "scenario=" << u.scenario << " run=" << u.label << " app=" << u.app
-                << " key=" << u.key << " elapsed_s=" << fmt_g(sim::to_seconds(r.elapsed))
-                << " checksum=" << r.checksum << " trace_hash=" << r.trace_hash
-                << " events=" << r.events
-                << " status=" << (r.status == apps::AppResult::RunStatus::Ok ? "ok" : "hard_failure")
-                << '\n';
+                << " key=" << u.key << ' ' << *u.fields << '\n';
     }
   }
 
@@ -333,26 +324,28 @@ int main(int argc, char** argv) {
   const campaign::ResultCache::Stats& cs = cache.stats();
   // Request latency split hit-vs-miss: a single aggregate wall_s hides
   // the tail entirely (a 1 ms hit and a 2 s simulate average to
-  // meaninglessness). Percentiles are exact (sorted samples).
-  std::cerr << "alb-serve: requests=" << request_lines << " expanded=" << units.size()
+  // meaninglessness). Percentiles are exact (sorted samples); host
+  // timings print at 9 significant digits.
+  std::cerr << std::setprecision(9) << "alb-serve: requests=" << request_lines
+            << " expanded=" << units.size()
             << " hits=" << cs.hits << " misses=" << cs.misses << " stores=" << cs.stores
             << " corrupt=" << cs.corrupt
-            << " workers=" << stats.workers << " wall_s=" << fmt_g(wall) << " req_per_min="
-            << fmt_g(wall > 0 ? static_cast<double>(units.size()) / wall * 60.0 : 0.0)
-            << " hit_ms_p50=" << fmt_g(pct_ms(hit_ms, 50))
-            << " hit_ms_p95=" << fmt_g(pct_ms(hit_ms, 95))
-            << " hit_ms_p99=" << fmt_g(pct_ms(hit_ms, 99))
-            << " miss_ms_p50=" << fmt_g(pct_ms(miss_ms, 50))
-            << " miss_ms_p95=" << fmt_g(pct_ms(miss_ms, 95))
-            << " miss_ms_p99=" << fmt_g(pct_ms(miss_ms, 99)) << '\n';
+            << " workers=" << stats.workers << " wall_s=" << wall << " req_per_min="
+            << (wall > 0 ? static_cast<double>(units.size()) / wall * 60.0 : 0.0)
+            << " hit_ms_p50=" << pct_ms(hit_ms, 50)
+            << " hit_ms_p95=" << pct_ms(hit_ms, 95)
+            << " hit_ms_p99=" << pct_ms(hit_ms, 99)
+            << " miss_ms_p50=" << pct_ms(miss_ms, 50)
+            << " miss_ms_p95=" << pct_ms(miss_ms, 95)
+            << " miss_ms_p99=" << pct_ms(miss_ms, 99) << '\n';
   // The worker-pool accounting table (campaign/pool.*), stderr only.
   std::cerr << "alb-serve pool: workers=" << stats.workers << " jobs_total=" << stats.jobs_total
             << " jobs_run=" << stats.jobs_run << " jobs_cancelled=" << stats.jobs_cancelled
-            << " utilization=" << fmt_g(stats.utilization())
-            << " jobs_per_sec=" << fmt_g(stats.jobs_per_sec())
-            << " job_s_p50=" << fmt_g(stats.job_seconds_percentile(50))
-            << " job_s_p95=" << fmt_g(stats.job_seconds_percentile(95))
-            << " job_s_max=" << fmt_g(stats.job_seconds_percentile(100)) << '\n';
+            << " utilization=" << stats.utilization()
+            << " jobs_per_sec=" << stats.jobs_per_sec()
+            << " job_s_p50=" << stats.job_seconds_percentile(50)
+            << " job_s_p95=" << stats.job_seconds_percentile(95)
+            << " job_s_max=" << stats.job_seconds_percentile(100) << '\n';
 
   if (const std::string& p = opts.get("metrics-out"); !p.empty()) {
     trace::Metrics m;

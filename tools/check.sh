@@ -6,7 +6,8 @@
 #   build-asan/     Debug + ASan/UBSan (catches lifetime bugs in the
 #                   zero-allocation hot path, where objects are recycled
 #                   through pools instead of malloc/free)
-#   build-release/  -O3 NDEBUG, the configuration benchmarks run in
+#   build-release/  -O3 NDEBUG, the configuration benchmarks run in;
+#                   built with -Werror, so a new warning fails the gate
 #   build-tsan/     ALB_SANITIZE=thread; runs test_campaign, the suite
 #                   that exercises the worker pool and the logger from
 #                   concurrent threads, the partitioned-engine tests and
@@ -29,7 +30,7 @@ echo "=== ctest: sanitizer build ==="
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
 echo "=== configure + build: Release ==="
-cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DALB_WERROR=ON > /dev/null
 cmake --build build-release -j "$JOBS"
 
 echo "=== ctest: release build ==="
